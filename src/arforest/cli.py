@@ -16,13 +16,14 @@ from fractions import Fraction
 from typing import Optional
 
 from . import formulas
-from .constructions import (ConstructionError, InteriorArrangement,
-                            build_forest_coloring, build_path_coloring,
-                            build_turan_extremal)
+from .constructions import (VERIFY_LIMIT, ConstructionError,
+                            InteriorArrangement, build_forest_coloring,
+                            build_path_coloring, build_turan_extremal)
 from .graphs import (EdgeColoring, Graph, GraphFormatError, LinearForest,
                      graph6_decode, graph6_encode)
 from .oracles import SearchBudget, brute_force_ar, brute_force_ex
-from .rainbow import find_rainbow, representing_graphs, sample_representing
+from .rainbow import (contains_subgraph, find_rainbow, representing_graphs,
+                      sample_representing)
 
 EXIT_OK = 0
 EXIT_FOUND = 1
@@ -140,16 +141,22 @@ def cmd_construct(args) -> int:
     if args.family == "turan":
         forest = _parse_forest(args.forest)
         g = build_turan_extremal(n, forest)
+        verified = n <= VERIFY_LIMIT
+        if verified:
+            copy = contains_subgraph(g, forest)
+            if copy is not None:
+                raise ConstructionError(
+                    f"Turan graph contains {forest} at n={n}", copy)
         payload = graph6_encode(g) + "\n"
         sidecar.update(forest=forest.spec_string(), edges=g.edge_count,
-                       verified=True)
+                       verified=verified)
     elif args.family == "path":
         if args.k is None:
             raise UsageError("path family needs --k")
         coloring = build_path_coloring(n, args.k)
         payload = coloring.to_text()
         sidecar.update(forest=str(args.k), colors=coloring.m,
-                       verified=n <= 12)
+                       verified=n <= VERIFY_LIMIT)
     elif args.family == "forest":
         forest = _parse_forest(args.forest)
         arrangement = (InteriorArrangement.SINGLE_EDGE_SECOND_COLOR
@@ -158,7 +165,7 @@ def cmd_construct(args) -> int:
         coloring = build_forest_coloring(n, forest, arrangement)
         payload = coloring.to_text()
         sidecar.update(forest=forest.spec_string(), colors=coloring.m,
-                       verified=n <= 12)
+                       verified=n <= VERIFY_LIMIT)
     else:
         raise UsageError(f"unknown family {args.family!r}")
     if args.out:

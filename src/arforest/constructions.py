@@ -30,11 +30,18 @@ class InteriorArrangement(Enum):
 
 
 class ConstructionError(RuntimeError):
-    """Self-verification found a rainbow copy in a supposedly extremal coloring."""
+    """Self-verification found a copy of the forest in a supposedly extremal
+    object, or the object's size disagrees with its formula."""
 
     def __init__(self, message: str, witness: Optional[Embedding] = None):
         super().__init__(message)
         self.witness = witness
+
+
+def _check_count(built: int, formula: int, what: str) -> None:
+    if built != formula:
+        raise ConstructionError(
+            f"{what} has {built}, but the formula gives {formula}")
 
 
 @dataclass(frozen=True)
@@ -77,7 +84,8 @@ def build_turan_extremal(n: int, forest: LinearForest) -> Graph:
     if forest.all_odd:
         edges.append((hub, hub + 1))
     g = Graph.from_edges(n, edges)
-    assert g.edge_count == ex_linear_forest(n, forest).value
+    _check_count(g.edge_count, ex_linear_forest(n, forest).value,
+                 f"Turan graph for {forest} at n={n}")
     return g
 
 
@@ -145,7 +153,8 @@ def build_path_coloring(n: int, k: int,
     hub = max((k - 1) // 2 - 1, 0)
     coloring = _hub_coloring(n, hub, 1 if k % 2 else 2,
                              InteriorArrangement.SINGLE_EDGE_SECOND_COLOR)
-    assert coloring.m == ar_path(n, k).value
+    _check_count(coloring.m, ar_path(n, k).value,
+                 f"path coloring for P{k} at n={n}")
     if verify is None:
         verify = n <= VERIFY_LIMIT
     if verify:
@@ -176,7 +185,8 @@ def build_forest_coloring(
         raise ValueError(
             f"n={n} < f+s={forest.num_vertices + forest.half_sum}")
     coloring = _hub_coloring(n, spec.hub_size, spec.interior_colors, arrangement)
-    assert coloring.m == ar_linear_forest(n, forest).value
+    _check_count(coloring.m, ar_linear_forest(n, forest).value,
+                 f"forest coloring for {forest} at n={n}")
     _maybe_verify(coloring, forest, verify)
     return coloring
 
@@ -204,5 +214,4 @@ def hub_search(g: Graph, planted: Iterable[int],
         val = mask.bit_count()
         if val > best_val:
             best, best_val = combo, val
-    assert best is not None
     return best, best_val

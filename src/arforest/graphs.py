@@ -62,9 +62,7 @@ class Graph:
         adj = [0] * n
         for u, v in edges:
             u, v = norm_edge(u, v)
-            if not 0 <= u < n and 0 <= v < n:
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if v >= n:
+            if not (0 <= u and v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u

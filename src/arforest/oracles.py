@@ -8,7 +8,22 @@ edges cannot beat the incumbent.
 
 brute_force_ex runs include/exclude branch-and-bound over the lex edge
 sequence, seeded with a detector-verified candidate extremal graph so the
-bound bites from the first node.
+bound bites from the first node.  In that order the edges (u, v), v > u, form
+row u of the adjacency matrix, and a lex-leader row rule breaks the symmetry
+of relabelling vertices.  At the start of row u, two vertices a < b, both
+> u, are twins when they have the same neighbours among 0..u-1; row u must be
+nonincreasing over each twin class, so (u, b) may be included only if (u, a)
+is, where a is b's nearest earlier twin.  No edge count is lost.  Suppose a
+graph obeys the rule in rows 0..u-1, and let p permute the vertices > u
+within their twin classes.  Then p maps each edge (r, x) with r < u to
+(r, p(x)), and x and p(x) agree on all neighbours below u, so every row
+before u (and every twin class used there) is left unchanged and keeps its
+constraint; choosing the p that sorts row u gives an isomorphic graph that
+obeys the rule through row u.  By induction on u every graph has an
+isomorphic copy, with the same edge count and the same forest-freeness, that
+obeys the rule in every row.  The sequential search and the parallel prefix
+expansion apply the rule through the same test, so the parallel frontier
+holds only prefixes the sequential search would visit.
 
 Both searches are budgeted; running out of budget returns the best value
 found so far (a valid lower bound) with exhausted=False.  With parallelism
@@ -305,16 +320,17 @@ def _ex_dfs(n: int, parts: tuple[int, ...], prefix: tuple[bool, ...],
             stats["pruned_bound"] += 1
             return
         u, v = edges[i]
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        included.append(edges[i])
-        if _contains_with_anchor(n, adj, forest, edges[i]):
-            stats["pruned_rainbow"] += 1
-        else:
-            rec(i + 1, count + 1)
-        included.pop()
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
+        if not _twin_forbids(adj, u, v):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            included.append(edges[i])
+            if _contains_with_anchor(n, adj, forest, edges[i]):
+                stats["pruned_rainbow"] += 1
+            else:
+                rec(i + 1, count + 1)
+            included.pop()
+            adj[u] &= ~(1 << v)
+            adj[v] &= ~(1 << u)
         rec(i + 1, count)
 
     try:
@@ -324,6 +340,21 @@ def _ex_dfs(n: int, parts: tuple[int, ...], prefix: tuple[bool, ...],
     return {"best": best,
             "assignment": best_edges,
             "exhausted": exhausted, **stats}
+
+
+def _twin_forbids(adj: list[int], u: int, v: int) -> bool:
+    """Whether the lex-leader row rule excludes edge (u, v).
+
+    The nearest earlier twin a of v (u < a < v, same neighbours below u)
+    has already been decided in row u; (u, v) may be included only if
+    (u, a) was.
+    """
+    low = (1 << u) - 1
+    key = adj[v] & low
+    for a in range(v - 1, u, -1):
+        if adj[a] & low == key:
+            return not adj[u] >> a & 1
+    return False
 
 
 def _contains_with_anchor(n: int, adj: list[int], forest: LinearForest,
@@ -398,13 +429,14 @@ def _expand_ex_prefixes(n: int, forest: LinearForest, levels: int,
             if count + (me - i) <= incumbent:
                 continue
             u, v = edges[i]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            stats["nodes"] += 1
-            if _contains_with_anchor(n, adj, forest, edges[i]):
-                stats["pruned_rainbow"] += 1
-            else:
-                nxt.append(prefix + (True,))
+            if not _twin_forbids(adj, u, v):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+                stats["nodes"] += 1
+                if _contains_with_anchor(n, adj, forest, edges[i]):
+                    stats["pruned_rainbow"] += 1
+                else:
+                    nxt.append(prefix + (True,))
             nxt.append(prefix + (False,))
         frontier = nxt
     return frontier, stats

@@ -3,9 +3,11 @@
 Everything here deliberately avoids the package's search machinery: set
 partitions come from a plain block-building recursion, and rainbow / subgraph
 detection enumerates vertex permutations outright.  Slow, but trustworthy at
-n <= 5.
+n <= 5 (naive_ex still finishes at n = 6).  Beyond that range, single paths
+are checked against the Faudree-Schelp closed form.
 """
 from itertools import combinations, permutations
+from math import comb
 
 from arforest import EdgeColoring, LinearForest, lex_edges
 
@@ -78,7 +80,7 @@ def naive_ar(n: int, forest: LinearForest) -> int:
 
 
 def naive_ex(n: int, forest: LinearForest) -> int:
-    """Max edges over all forest-free graphs on n vertices (n <= 5)."""
+    """Max edges over all forest-free graphs on n vertices (n <= 6)."""
     edges = lex_edges(n)
     best = 0
     for r in range(len(edges), -1, -1):
@@ -89,3 +91,13 @@ def naive_ex(n: int, forest: LinearForest) -> int:
                 best = r
                 break
     return best
+
+
+def faudree_schelp(n: int, k: int) -> int:
+    """ex(n, P_k) for every n >= 1 and k >= 2 (Faudree and Schelp, 1975).
+
+    With n = q(k-1) + r and 0 <= r < k-1, disjoint copies of K_{k-1} plus a
+    K_r are extremal: q*C(k-1, 2) + C(r, 2) edges.
+    """
+    q, r = divmod(n, k - 1)
+    return q * comb(k - 1, 2) + comb(r, 2)

@@ -55,12 +55,29 @@ class TestConstructCommand:
                         "--n", "20", "--forest", "5,4",
                         "--out", str(out_path))
         assert code == 0
-        assert out["edges"] == 54 and out["verified"] is True
+        # n = 20 is above VERIFY_LIMIT, so the detector is not run
+        assert out["edges"] == 54 and out["verified"] is False
         from arforest import graph6_decode
         g = graph6_decode(out_path.read_text().strip())
         assert g.n == 20 and g.edge_count == 54
         sidecar = json.loads((tmp_path / "g.g6.json").read_text())
         assert sidecar == out
+
+    def test_turan_small_host_is_verified(self, capsys):
+        code, out = run(capsys, "construct", "--family", "turan",
+                        "--n", "12", "--forest", "5,4")
+        assert code == 0
+        assert out["edges"] == 30 and out["verified"] is True
+
+    def test_turan_copy_is_construction_error(self, capsys, monkeypatch):
+        import arforest.cli as cli
+        from arforest import complete_graph
+        monkeypatch.setattr(cli, "build_turan_extremal",
+                            lambda n, forest: complete_graph(n))
+        code, out = run(capsys, "construct", "--family", "turan",
+                        "--n", "10", "--forest", "4,2")
+        assert code == 2
+        assert out["error"]["type"] == "ConstructionError"
 
     def test_forest_coloring_roundtrips_through_verify(self, capsys, tmp_path):
         out_path = tmp_path / "c.txt"

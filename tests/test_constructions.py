@@ -1,7 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
 
+import arforest.constructions as constructions
 from arforest import (ConstructionError, Graph, HubSpec, InteriorArrangement,
                       LinearForest, ar_linear_forest, ar_path,
                       build_forest_coloring, build_path_coloring,
@@ -103,6 +105,23 @@ class TestForestColoring:
     def test_rejects_small_host(self):
         with pytest.raises(ValueError):
             build_forest_coloring(8, LF("4,2"))  # needs n >= f+s = 9
+
+
+class TestFormulaAgreement:
+    @pytest.mark.parametrize("formula,build", [
+        ("ex_linear_forest", lambda: build_turan_extremal(10, LF("4,2"))),
+        ("ar_path", lambda: build_path_coloring(10, 5, verify=False)),
+        ("ar_linear_forest",
+         lambda: build_forest_coloring(12, LF("4,2"), verify=False)),
+    ], ids=["turan", "path", "forest"])
+    def test_formula_disagreement_raises(self, monkeypatch, formula, build):
+        # a real check, not an assert, so it also holds under python -O
+        real = getattr(constructions, formula)
+        monkeypatch.setattr(
+            constructions, formula,
+            lambda *args: replace(real(*args), value=real(*args).value + 1))
+        with pytest.raises(ConstructionError, match="formula gives"):
+            build()
 
 
 class TestHubSpec:

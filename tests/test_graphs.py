@@ -40,6 +40,11 @@ class TestGraph:
         assert g.edge_count == 3
         assert g.degree(1) == 2
 
+    @pytest.mark.parametrize("edge", [(-2, -1), (-1, 2), (1, 3), (3, 4)])
+    def test_from_edges_rejects_out_of_range(self, edge):
+        with pytest.raises(ValueError, match="out of range for n=3"):
+            Graph.from_edges(3, [edge])
+
 
 class TestCommonNeighborhood:
     def test_complete(self):

@@ -1,16 +1,32 @@
 from dataclasses import replace
+from itertools import permutations
 
 import pytest
 
 from arforest import (EdgeColoring, Graph, LinearForest, SearchBudget,
                       SearchReport, ar_linear_forest, brute_force_ar,
                       brute_force_ex, build_forest_coloring, erdos_gallai_bound,
-                      verify_witness)
-from reference import naive_ar, naive_ex
+                      ex_linear_forest, lex_edges, verify_witness)
+from arforest.oracles import _expand_ex_prefixes, _twin_forbids
+from reference import faudree_schelp, naive_ar, naive_ex
 
 LF = LinearForest.parse
 
 FAST = SearchBudget(max_nodes=5_000_000, max_millis=120_000)
+
+
+def forest_specs(max_vertices: int, largest: int):
+    """Spec strings of every linear forest on at most max_vertices vertices
+    whose parts are at most largest."""
+    for t in range(min(largest, max_vertices), 1, -1):
+        yield str(t)
+        for rest in forest_specs(max_vertices - t, t):
+            yield f"{t},{rest}"
+
+
+# every linear forest that fits in K_n, n = 2..6: 23 cases
+SMALL_FORESTS = [(n, spec) for n in range(2, 7)
+                 for spec in forest_specs(n, n)]
 
 
 class TestBruteForceAr:
@@ -76,6 +92,7 @@ class TestBruteForceEx:
         (4, "3", 2), (4, "2,2", 3), (5, "2,2", 4),
         (5, "4", 4), (5, "3,2", 6), (6, "3,3", 10),
         (7, "4,2", 11),
+        (8, "4,2", 13), (8, "4,3", 16),
     ])
     def test_pinned_values(self, n, spec, expected):
         report = brute_force_ex(n, LF(spec), FAST)
@@ -83,11 +100,66 @@ class TestBruteForceEx:
         assert report.value == expected
         assert verify_witness(report, LF(spec))
 
-    @pytest.mark.parametrize("n,spec", [
-        (4, "3"), (4, "2,2"), (5, "2,2"), (5, "4"),
+    def test_small_n_exceeds_large_n_formula(self):
+        # EX(8, P4+P3) = 16 is pinned above: small hosts can beat the
+        # closed form, which holds only for large n
+        formula = ex_linear_forest(8, LF("4,3"))
+        assert formula.value == 13
+        assert formula.validity == "n sufficiently large"
+
+    @pytest.mark.parametrize("n,k", [
+        (8, 6), (8, 7), (9, 7), (9, 9), (10, 5),
     ])
+    def test_paths_match_faudree_schelp(self, n, k):
+        report = brute_force_ex(n, LF(str(k)), FAST)
+        assert report.exhausted
+        assert report.value == faudree_schelp(n, k)
+        assert verify_witness(report, LF(str(k)))
+
+    @pytest.mark.parametrize("n,spec", SMALL_FORESTS)
     def test_agrees_with_naive(self, n, spec):
         assert brute_force_ex(n, LF(spec), FAST).value == naive_ex(n, LF(spec))
+
+    def test_row_rule_keeps_every_isomorphism_class(self):
+        # the rule may only drop relabellings: each of the 34 graphs on five
+        # vertices must keep a labelling whose rows all pass the twin test
+        n = 5
+        pairs = lex_edges(n)
+        perms = list(permutations(range(n)))
+
+        def canonical(edges):
+            return min(tuple(sorted((min(p[a], p[b]), max(p[a], p[b]))
+                                    for a, b in edges)) for p in perms)
+
+        def admitted(edges):
+            adj = [0] * n
+            for u, v in pairs:
+                if (u, v) in edges:
+                    if _twin_forbids(adj, u, v):
+                        return False
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+            return True
+
+        classes, kept, labelled = set(), set(), 0
+        for mask in range(1 << len(pairs)):
+            edges = {e for i, e in enumerate(pairs) if mask >> i & 1}
+            classes.add(canonical(edges))
+            if admitted(edges):
+                kept.add(canonical(edges))
+                labelled += 1
+        assert len(classes) == 34
+        assert kept == classes
+        assert labelled < 1 << len(pairs)
+
+    def test_prefix_expansion_keeps_row_zero_nonincreasing(self):
+        # at row 0 every later vertex is a twin of every other, so the
+        # lex-leader rule admits only 1...10...0 over the first four edges
+        for n, spec in [(5, "2,2"), (8, "4,3"), (9, "3,2")]:
+            prefixes, _ = _expand_ex_prefixes(n, LF(spec), 4, 0)
+            assert 1 <= len(prefixes) <= 5
+            for prefix in prefixes:
+                assert list(prefix) == sorted(prefix, reverse=True)
 
     def test_two_disjoint_edges_on_five_vertices(self):
         # the star K_{1,4} has four edges and no two disjoint ones, so the
@@ -103,11 +175,13 @@ class TestBruteForceEx:
                 assert report.value <= erdos_gallai_bound(n, k)
 
     def test_parallel_matches_sequential(self):
-        seq = brute_force_ex(7, LF("3,2"), FAST)
-        par = brute_force_ex(
-            7, LF("3,2"), SearchBudget(max_nodes=5_000_000,
-                                       max_millis=120_000, parallelism=2))
-        assert par.exhausted and par.value == seq.value
+        for n, spec in [(7, "3,2"), (8, "4,3")]:
+            seq = brute_force_ex(n, LF(spec), FAST)
+            par = brute_force_ex(
+                n, LF(spec), SearchBudget(max_nodes=5_000_000,
+                                          max_millis=120_000, parallelism=2))
+            assert par.exhausted and par.value == seq.value
+            assert verify_witness(par, LF(spec))
 
     def test_budget_exhaustion(self):
         report = brute_force_ex(8, LF("4,3"), SearchBudget(max_nodes=10))
