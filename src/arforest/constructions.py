@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 from .formulas import (ar_linear_forest, ar_path, epsilon_for_forest,
                        ex_linear_forest, turan_constant)
 from .graphs import (Edge, EdgeColoring, Embedding, Graph, LinearForest,
-                     common_neighborhood_mask, lex_edges, norm_edge)
+                     common_neighborhood, lex_edges, norm_edge)
 from .rainbow import find_rainbow
 
 VERIFY_LIMIT = 12  # auto-verify colorings up to this host order
@@ -155,13 +155,7 @@ def build_path_coloring(n: int, k: int,
                              InteriorArrangement.SINGLE_EDGE_SECOND_COLOR)
     _check_count(coloring.m, ar_path(n, k).value,
                  f"path coloring for P{k} at n={n}")
-    if verify is None:
-        verify = n <= VERIFY_LIMIT
-    if verify:
-        witness = find_rainbow(coloring, LinearForest((k,)))
-        if witness is not None:
-            raise ConstructionError(
-                f"path coloring admits a rainbow P{k} at n={n}", witness)
+    _maybe_verify(coloring, LinearForest((k,)), verify)
     return coloring
 
 
@@ -198,20 +192,17 @@ def hub_search(g: Graph, planted: Iterable[int],
     Returns (hub, size of common neighborhood outside the planted set); ties
     break lexicographically on the sorted vertex list.
     """
-    pool = sorted(set(planted))
+    planted = set(planted)
+    pool = sorted(planted)
     for v in pool:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
     if hub_size > len(pool):
         raise ValueError(f"hub_size={hub_size} exceeds |P|={len(pool)}")
-    planted_mask = 0
-    for v in pool:
-        planted_mask |= 1 << v
     best: Optional[tuple[int, ...]] = None
     best_val = -1
     for combo in itertools.combinations(pool, hub_size):
-        mask = common_neighborhood_mask(g, combo) & ~planted_mask
-        val = mask.bit_count()
+        val = len(common_neighborhood(g, combo) - planted)
         if val > best_val:
             best, best_val = combo, val
     return best, best_val

@@ -120,16 +120,6 @@ def common_neighborhood(g: Graph, vertices: Iterable[int]) -> set[int]:
     return set(_iter_bits(mask))
 
 
-def common_neighborhood_mask(g: Graph, vertices: Iterable[int]) -> int:
-    vs = list(vertices)
-    mask = (1 << g.n) - 1
-    for v in vs:
-        mask &= g.adj[v]
-    for v in vs:
-        mask &= ~(1 << v)
-    return mask
-
-
 @dataclass(frozen=True)
 class LinearForest:
     """A disjoint union of paths, stored as a nonincreasing list of orders."""

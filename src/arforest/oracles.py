@@ -1,36 +1,48 @@
 """Exact small-n ground truth for anti-Ramsey and Turan values.
 
-brute_force_ar enumerates edge-colorings of K_n as restricted-growth strings
-over the lex edge order, which kills color-relabeling symmetry exactly.  A
-branch is abandoned as soon as its colored prefix contains a rainbow copy
-(later assignments can never un-rainbow it) or its block count plus remaining
-edges cannot beat the incumbent.
+Both oracles run one budgeted branch-and-bound search, _dfs, over the lex
+edge sequence of K_n.  Each oracle supplies a problem object that replays a
+decision prefix, bounds the value any extension of a node can reach, and
+yields the feasible decisions for the next edge one at a time: it applies a
+decision to a shared incremental adjacency, runs the detector anchored at the
+new edge, yields, and then undoes the decision.  A copy of the forest found
+in a prefix survives every extension, so such a decision is dropped at once;
+a node whose bound cannot beat the incumbent is pruned.
 
-brute_force_ex runs include/exclude branch-and-bound over the lex edge
-sequence, seeded with a detector-verified candidate extremal graph so the
-bound bites from the first node.  In that order the edges (u, v), v > u, form
-row u of the adjacency matrix, and a lex-leader row rule breaks the symmetry
-of relabelling vertices.  At the start of row u, two vertices a < b, both
-> u, are twins when they have the same neighbours among 0..u-1; row u must be
-nonincreasing over each twin class, so (u, b) may be included only if (u, a)
-is, where a is b's nearest earlier twin.  No edge count is lost.  Suppose a
-graph obeys the rule in rows 0..u-1, and let p permute the vertices > u
-within their twin classes.  Then p maps each edge (r, x) with r < u to
-(r, p(x)), and x and p(x) agree on all neighbours below u, so every row
-before u (and every twin class used there) is left unchanged and keeps its
-constraint; choosing the p that sorts row u gives an isomorphic graph that
-obeys the rule through row u.  By induction on u every graph has an
-isomorphic copy, with the same edge count and the same forest-freeness, that
-obeys the rule in every row.  The sequential search and the parallel prefix
-expansion apply the rule through the same test, so the parallel frontier
-holds only prefixes the sequential search would visit.
+brute_force_ar decides one color per edge.  Colorings are enumerated as
+restricted-growth strings, which kills color-relabeling symmetry exactly;
+the fresh color is tried first.  The bound is the number of colors used plus
+the number of edges left.
 
-Both searches are budgeted; running out of budget returns the best value
-found so far (a valid lower bound) with exhausted=False.  With parallelism
-greater than one, the top levels of the tree are expanded into independent
-tasks; the incumbent bound is merged monotonically as tasks finish, so late
-tasks start with a tighter bound (stale bounds only weaken pruning, never
-correctness).
+brute_force_ex decides include or exclude per edge, include first, and is
+seeded with a detector-verified candidate extremal graph so the bound bites
+from the first node.  The bound is the edge count plus the edges left,
+capped by Erdos-Gallai when the forest is a single path.  In the lex order
+the edges (u, v), v > u, form row u of the adjacency matrix, and a
+lex-leader row rule breaks the symmetry of relabelling vertices.  At the
+start of row u, two vertices a < b, both > u, are twins when they have the
+same neighbours among 0..u-1; row u must be nonincreasing over each twin
+class, so (u, b) may be included only if (u, a) is, where a is b's nearest
+earlier twin.  No edge count is lost.  Suppose a graph obeys the rule in
+rows 0..u-1, and let p permute the vertices > u within their twin classes.
+Then p maps each edge (r, x) with r < u to (r, p(x)), and x and p(x) agree
+on all neighbours below u, so every row before u (and every twin class used
+there) is left unchanged and keeps its constraint; choosing the p that sorts
+row u gives an isomorphic graph that obeys the rule through row u.  By
+induction on u every graph has an isomorphic copy, with the same edge count
+and the same forest-freeness, that obeys the rule in every row.
+
+Both searches are budgeted: at most max_nodes nodes are visited and the
+deadline is checked at every node.  Running out of budget returns the best
+value found so far (a valid lower bound) with exhausted=False.  With
+parallelism greater than one, the same search stopped at depth
+PARALLEL_EXPAND_LEVELS collects the decision prefixes it reaches, in the
+order the sequential search would reach them, and each becomes a task in a
+worker process.  A task is granted a share of the nodes not yet reserved
+when it is submitted and gives back what it did not use, so the node budget
+holds across all tasks.  The incumbent is merged monotonically as tasks
+finish, so late tasks start with a tighter bound (stale bounds only weaken
+pruning, never correctness).
 """
 from __future__ import annotations
 
@@ -39,10 +51,12 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from . import rainbow
+from .constructions import build_turan_extremal
 from .formulas import erdos_gallai_bound
 from .graphs import (Edge, EdgeColoring, Graph, LinearForest, complete_graph,
                      lex_edges)
-from .rainbow import contains_subgraph, find_rainbow, find_rainbow_partial
+from .rainbow import contains_subgraph, find_rainbow
 
 PARALLEL_EXPAND_LEVELS = 4
 
@@ -81,164 +95,235 @@ class SearchReport:
         }
 
 
+_COUNTERS = ("nodes_visited", "pruned_by_rainbow", "pruned_by_bound")
+
+
 class _BudgetExceeded(Exception):
     pass
 
 
-def _ar_dfs(n: int, parts: tuple[int, ...], prefix: tuple[int, ...],
-            init_best: int, max_nodes: int, deadline: float,
-            collect_leaves: Optional[list] = None) -> dict:
-    """Explore all restricted-growth extensions of the given color prefix."""
-    edges = lex_edges(n)
-    me = len(edges)
-    forest = LinearForest(parts)
-    assignment = list(prefix) + [0] * (me - len(prefix))
-    color_map: dict[Edge, int] = {edges[i]: prefix[i]
-                                  for i in range(len(prefix))}
-    start_blocks = (max(prefix) + 1) if prefix else 0
-    stats = {"nodes": 0, "pruned_rainbow": 0, "pruned_bound": 0}
-    best = init_best
-    best_assignment: Optional[list[int]] = None
-    exhausted = True
+class _Problem:
+    """Host state shared by both oracles: K_n's lex edges and the adjacency
+    bitmasks of the edges decided so far."""
 
-    def rec(i: int, blocks: int) -> None:
-        nonlocal best, best_assignment
-        stats["nodes"] += 1
-        if stats["nodes"] > max_nodes:
-            raise _BudgetExceeded
-        if stats["nodes"] % 4096 == 0 and time.monotonic() > deadline:
-            raise _BudgetExceeded
-        if i == me:
-            if collect_leaves is not None:
-                collect_leaves.append(tuple(assignment))
-            if blocks > best:
-                best = blocks
-                best_assignment = assignment.copy()
-            return
-        if blocks + (me - i) <= best:
-            stats["pruned_bound"] += 1
-            return
-        e = edges[i]
-        for c in range(blocks, -1, -1):  # fresh color first
-            assignment[i] = c
-            color_map[e] = c
-            if find_rainbow_partial(n, color_map, forest, anchor=e) is not None:
-                stats["pruned_rainbow"] += 1
+    def __init__(self, n: int, parts: tuple[int, ...]):
+        self.n = n
+        self.parts = parts
+        self.edges = lex_edges(n)
+        self.adj = [0] * n
+
+    def _flip(self, e: Edge) -> None:
+        u, v = e
+        self.adj[u] ^= 1 << v
+        self.adj[v] ^= 1 << u
+
+
+class _ArProblem(_Problem):
+    """One color per edge as a restricted-growth string; the value is the
+    number of colors used."""
+
+    def __init__(self, n: int, parts: tuple[int, ...]):
+        super().__init__(n, parts)
+        self.color_of: dict[Edge, int] = {}
+
+    def replay(self, prefix: tuple[int, ...]) -> int:
+        for e, c in zip(self.edges, prefix):
+            self._flip(e)
+            self.color_of[e] = c
+        return max(prefix) + 1 if prefix else 0
+
+    def bound(self, i: int, value: int) -> int:
+        return value + len(self.edges) - i
+
+    def branches(self, i: int, value: int, stats: dict):
+        e = self.edges[i]
+        self._flip(e)
+        for c in range(value, -1, -1):  # fresh color first
+            self.color_of[e] = c
+            colors = value + 1 if c == value else value
+            if rainbow._search_forest(self.n, self.adj, self.parts,
+                                      color_of=self.color_of,
+                                      num_colors=colors,
+                                      anchor=e) is not None:
+                stats["pruned_by_rainbow"] += 1
             else:
-                rec(i + 1, blocks + (1 if c == blocks else 0))
-            del color_map[e]
+                yield c, colors
+        del self.color_of[e]
+        self._flip(e)
+
+
+class _ExProblem(_Problem):
+    """Include (True) or exclude (False) per edge; the value is the number
+    of edges included."""
+
+    def __init__(self, n: int, parts: tuple[int, ...]):
+        super().__init__(n, parts)
+        # only a single path has a cap below the edge count of K_n
+        self.cap = (int(erdos_gallai_bound(n, parts[0])) if len(parts) == 1
+                    else len(self.edges))
+
+    def replay(self, prefix: tuple[bool, ...]) -> int:
+        for e, take in zip(self.edges, prefix):
+            if take:
+                self._flip(e)
+        return sum(prefix)
+
+    def bound(self, i: int, value: int) -> int:
+        return min(value + len(self.edges) - i, self.cap)
+
+    def branches(self, i: int, value: int, stats: dict):
+        e = self.edges[i]
+        if not _twin_forbids(self.adj, *e):
+            self._flip(e)
+            if rainbow._search_forest(self.n, self.adj, self.parts,
+                                      anchor=e) is not None:
+                stats["pruned_by_rainbow"] += 1
+            else:
+                yield True, value + 1
+            self._flip(e)
+        yield False, value
+
+
+def _twin_forbids(adj: list[int], u: int, v: int) -> bool:
+    """Whether the lex-leader row rule excludes edge (u, v).
+
+    The nearest earlier twin a of v (u < a < v, same neighbours below u)
+    has already been decided in row u; (u, v) may be included only if
+    (u, a) was.
+    """
+    low = (1 << u) - 1
+    key = adj[v] & low
+    for a in range(v - 1, u, -1):
+        if adj[a] & low == key:
+            return not adj[u] >> a & 1
+    return False
+
+
+def _dfs(problem_cls: type, n: int, parts: tuple[int, ...], prefix: tuple,
+         best: int, max_nodes: int, deadline: float,
+         stop_at: Optional[int] = None) -> dict:
+    """Branch-and-bound over every extension of a decision prefix.
+
+    Returns the best value, the full decision sequence that reached it (None
+    if nothing beat the given best), whether the subtree was exhausted, and
+    the counters.  With stop_at, nodes at that depth are not visited but
+    collected, in visiting order, under "frontier".
+    """
+    problem = problem_cls(n, parts)
+    me = len(problem.edges)
+    stop = me + 1 if stop_at is None else stop_at
+    path = list(prefix)
+    stats = dict.fromkeys(_COUNTERS, 0)
+    frontier: list[tuple] = []
+    found: Optional[tuple] = None
+    clock = time.monotonic
+
+    def rec(i: int, value: int) -> None:
+        nonlocal best, found
+        if i == stop:
+            frontier.append(tuple(path))
+            return
+        if stats["nodes_visited"] >= max_nodes or clock() > deadline:
+            raise _BudgetExceeded
+        stats["nodes_visited"] += 1
+        if i == me:
+            if value > best:
+                best, found = value, tuple(path)
+            return
+        if problem.bound(i, value) <= best:
+            stats["pruned_by_bound"] += 1
+            return
+        for decision, child in problem.branches(i, value, stats):
+            path.append(decision)
+            rec(i + 1, child)
+            path.pop()
 
     try:
-        rec(len(prefix), start_blocks)
+        rec(len(prefix), problem.replay(prefix))
+        exhausted = True
     except _BudgetExceeded:
         exhausted = False
-    return {"best": best, "assignment": best_assignment,
-            "exhausted": exhausted, **stats}
+    return {"best": best, "path": found, "exhausted": exhausted,
+            "frontier": frontier, **stats}
 
 
-def _expand_ar_prefixes(n: int, forest: LinearForest,
-                        levels: int) -> tuple[list[tuple[int, ...]], dict]:
-    """Feasible restricted-growth prefixes of the first few edges."""
-    edges = lex_edges(n)
-    levels = min(levels, len(edges))
-    stats = {"nodes": 0, "pruned_rainbow": 0}
-    frontier: list[tuple[int, ...]] = [()]
-    for i in range(levels):
-        nxt: list[tuple[int, ...]] = []
-        for prefix in frontier:
-            blocks = (max(prefix) + 1) if prefix else 0
-            color_map = {edges[j]: prefix[j] for j in range(i)}
-            for c in range(blocks, -1, -1):
-                stats["nodes"] += 1
-                color_map[edges[i]] = c
-                if find_rainbow_partial(n, color_map, forest,
-                                        anchor=edges[i]) is not None:
-                    stats["pruned_rainbow"] += 1
-                else:
-                    nxt.append(prefix + (c,))
-            del color_map[edges[i]]
-        frontier = nxt
-    return frontier, stats
+def _run_parallel(problem_cls: type, n: int, parts: tuple[int, ...],
+                  prefixes: list[tuple], best: int, nodes_left: int,
+                  deadline: float, workers: int) -> tuple[list[dict], bool]:
+    """Search below each prefix in worker processes.
+
+    Each task is submitted with the best value merged so far, so later tasks
+    prune harder; a stale bound is safe, only less effective.  Each task is
+    also granted nodes reserved from nodes_left and returns the unused part
+    when it finishes, so all tasks together visit at most nodes_left nodes.
+    Returns the task results and whether every prefix got a task.
+    """
+    results: list[dict] = []
+    queue = list(reversed(prefixes))
+    slots = 2 * workers
+    pending: dict = {}
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        while True:
+            while queue and len(pending) < slots and nodes_left > 0:
+                grant = -(-nodes_left // (slots - len(pending)))
+                nodes_left -= grant
+                pending[pool.submit(_dfs, problem_cls, n, parts, queue.pop(),
+                                    best, grant, deadline)] = grant
+            if not pending:
+                break
+            done, _ = wait(pending, return_when=FIRST_COMPLETED)
+            for fut in done:
+                res = fut.result()
+                nodes_left += pending.pop(fut) - res["nodes_visited"]
+                results.append(res)
+                best = max(best, res["best"])
+    return results, not queue
+
+
+def _search(problem_cls: type, n: int, forest: LinearForest, best: int,
+            budget: Optional[SearchBudget],
+            start: float) -> tuple[SearchReport, Optional[tuple]]:
+    """Run _dfs in sequence or in parallel and merge what it found.
+
+    Returns a report without a witness, and the decision sequence of the
+    best value if any search beat the given best.
+    """
+    budget = budget or SearchBudget()
+    deadline = start + budget.max_millis / 1000.0
+    if budget.parallelism == 1:
+        results = [_dfs(problem_cls, n, forest.parts, (), best,
+                        budget.max_nodes, deadline)]
+        all_ran = True
+    else:
+        expansion = _dfs(problem_cls, n, forest.parts, (), best,
+                         budget.max_nodes, deadline,
+                         stop_at=min(PARALLEL_EXPAND_LEVELS, n * (n - 1) // 2))
+        tasks, all_ran = _run_parallel(
+            problem_cls, n, forest.parts, expansion["frontier"], best,
+            budget.max_nodes - expansion["nodes_visited"], deadline,
+            budget.parallelism)
+        results = [expansion, *tasks]
+    path = None
+    for res in results:
+        if res["best"] > best:
+            best, path = res["best"], res["path"]
+    report = SearchReport(
+        best, None, all_ran and all(res["exhausted"] for res in results),
+        **{key: sum(res[key] for res in results) for key in _COUNTERS},
+        elapsed_seconds=time.monotonic() - start)
+    return report, path
 
 
 def brute_force_ar(n: int, forest: LinearForest,
-                   budget: Optional[SearchBudget] = None,
-                   collect_leaves: Optional[list] = None) -> SearchReport:
+                   budget: Optional[SearchBudget] = None) -> SearchReport:
     """Exact max color count of a rainbow-forest-free coloring of K_n."""
     if forest.num_vertices > n:
         raise ValueError(
             f"forest needs {forest.num_vertices} vertices but n={n}")
-    budget = budget or SearchBudget()
-    start = time.monotonic()
-    deadline = start + budget.max_millis / 1000.0
-    if budget.parallelism == 1:
-        res = _ar_dfs(n, forest.parts, (), 0, budget.max_nodes, deadline,
-                      collect_leaves)
-        merged = [res]
-        extra_nodes = 0
-        extra_rainbow = 0
-    else:
-        prefixes, exp_stats = _expand_ar_prefixes(n, forest,
-                                                  PARALLEL_EXPAND_LEVELS)
-        extra_nodes = exp_stats["nodes"]
-        extra_rainbow = exp_stats["pruned_rainbow"]
-        merged = _run_parallel(
-            _ar_dfs,
-            [(n, forest.parts, p) for p in prefixes],
-            init_best=0,
-            max_nodes=max(1, budget.max_nodes - extra_nodes),
-            deadline=deadline,
-            workers=budget.parallelism)
-    best = 0
-    best_assignment = None
-    exhausted = True
-    nodes = extra_nodes
-    pr = extra_rainbow
-    pb = 0
-    for res in merged:
-        nodes += res["nodes"]
-        pr += res["pruned_rainbow"]
-        pb += res["pruned_bound"]
-        exhausted = exhausted and res["exhausted"]
-        if res["best"] > best and res["assignment"] is not None:
-            best = res["best"]
-            best_assignment = res["assignment"]
-    witness = (EdgeColoring.from_assignment(n, best_assignment)
-               if best_assignment is not None else None)
-    return SearchReport(best, witness, exhausted, nodes, pr, pb,
-                        time.monotonic() - start)
-
-
-def _run_parallel(fn, task_args: list[tuple], init_best: int, max_nodes: int,
-                  deadline: float, workers: int) -> list[dict]:
-    """Dispatch tasks to worker processes, threading the incumbent through.
-
-    Each task is submitted with the best value merged so far, so later tasks
-    prune harder; a stale bound is safe, only less effective.
-    """
-    results: list[dict] = []
-    best = init_best
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending = set()
-        queue = list(task_args)
-        queue.reverse()
-
-        def submit_one():
-            if queue:
-                args = queue.pop()
-                pending.add(pool.submit(fn, *args, best, max_nodes, deadline))
-
-        for _ in range(2 * workers):
-            submit_one()
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                res = fut.result()
-                results.append(res)
-                if res["best"] > best and res["assignment"] is not None:
-                    best = res["best"]
-                submit_one()
-    return results
+    report, path = _search(_ArProblem, n, forest, 0, budget, time.monotonic())
+    if path is not None:
+        report.witness = EdgeColoring.from_assignment(n, path)
+    return report
 
 
 def _clique_blocks(n: int, size: int) -> Graph:
@@ -268,7 +353,6 @@ def _seed_extremal(n: int, forest: LinearForest) -> Graph:
     if forest.k >= 2 and any(t != 3 for t in forest.parts):
         hub = forest.half_sum - 1
         if n >= max(f, hub + 2):
-            from .constructions import build_turan_extremal
             candidates.append(build_turan_extremal(n, forest))
     best = Graph(n, tuple([0] * n))
     for g in candidates:
@@ -277,169 +361,18 @@ def _seed_extremal(n: int, forest: LinearForest) -> Graph:
     return best
 
 
-def _ex_dfs(n: int, parts: tuple[int, ...], prefix: tuple[bool, ...],
-            init_best: int, max_nodes: int, deadline: float) -> dict:
-    """Include/exclude search below a fixed decision prefix."""
-    edges = lex_edges(n)
-    me = len(edges)
-    forest = LinearForest(parts)
-    adj = [0] * n
-    count = 0
-    included: list[Edge] = []
-    for i, take in enumerate(prefix):
-        if take:
-            u, v = edges[i]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            included.append(edges[i])
-            count += 1
-    eg_cap: Optional[int] = None
-    if forest.k == 1:
-        eg_cap = int(erdos_gallai_bound(n, forest.parts[0]))
-    stats = {"nodes": 0, "pruned_rainbow": 0, "pruned_bound": 0}
-    best = init_best
-    best_edges: Optional[list[Edge]] = None
-    exhausted = True
-
-    def rec(i: int, count: int) -> None:
-        nonlocal best, best_edges
-        stats["nodes"] += 1
-        if stats["nodes"] > max_nodes:
-            raise _BudgetExceeded
-        if stats["nodes"] % 4096 == 0 and time.monotonic() > deadline:
-            raise _BudgetExceeded
-        if i == me:
-            if count > best:
-                best = count
-                best_edges = included.copy()
-            return
-        ub = count + (me - i)
-        if eg_cap is not None:
-            ub = min(ub, eg_cap)
-        if ub <= best:
-            stats["pruned_bound"] += 1
-            return
-        u, v = edges[i]
-        if not _twin_forbids(adj, u, v):
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            included.append(edges[i])
-            if _contains_with_anchor(n, adj, forest, edges[i]):
-                stats["pruned_rainbow"] += 1
-            else:
-                rec(i + 1, count + 1)
-            included.pop()
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
-        rec(i + 1, count)
-
-    try:
-        rec(len(prefix), count)
-    except _BudgetExceeded:
-        exhausted = False
-    return {"best": best,
-            "assignment": best_edges,
-            "exhausted": exhausted, **stats}
-
-
-def _twin_forbids(adj: list[int], u: int, v: int) -> bool:
-    """Whether the lex-leader row rule excludes edge (u, v).
-
-    The nearest earlier twin a of v (u < a < v, same neighbours below u)
-    has already been decided in row u; (u, v) may be included only if
-    (u, a) was.
-    """
-    low = (1 << u) - 1
-    key = adj[v] & low
-    for a in range(v - 1, u, -1):
-        if adj[a] & low == key:
-            return not adj[u] >> a & 1
-    return False
-
-
-def _contains_with_anchor(n: int, adj: list[int], forest: LinearForest,
-                          anchor: Edge) -> bool:
-    from .rainbow import _search_forest
-    if forest.num_vertices > n:
-        return False
-    return _search_forest(n, adj, forest.parts, anchor=anchor) is not None
-
-
 def brute_force_ex(n: int, forest: LinearForest,
                    budget: Optional[SearchBudget] = None) -> SearchReport:
     """Exact max edge count of a forest-free graph on n vertices."""
     if n < 1:
         raise ValueError("need n >= 1")
-    budget = budget or SearchBudget()
     start = time.monotonic()
-    deadline = start + budget.max_millis / 1000.0
     seed = _seed_extremal(n, forest)
-    seed_count = seed.edge_count
-    if budget.parallelism == 1:
-        merged = [_ex_dfs(n, forest.parts, (), seed_count, budget.max_nodes,
-                          deadline)]
-    else:
-        me = n * (n - 1) // 2
-        levels = min(PARALLEL_EXPAND_LEVELS, me)
-        prefixes, exp = _expand_ex_prefixes(n, forest, levels, seed_count)
-        merged = _run_parallel(
-            _ex_dfs,
-            [(n, forest.parts, p) for p in prefixes],
-            init_best=seed_count,
-            max_nodes=max(1, budget.max_nodes - exp["nodes"]),
-            deadline=deadline,
-            workers=budget.parallelism)
-        merged.append({"best": seed_count, "assignment": None,
-                       "exhausted": True, **exp})
-    best = seed_count
-    best_edges = None
-    exhausted = True
-    nodes = pr = pb = 0
-    for res in merged:
-        nodes += res["nodes"]
-        pr += res["pruned_rainbow"]
-        pb += res.get("pruned_bound", 0)
-        exhausted = exhausted and res["exhausted"]
-        if res["best"] > best and res["assignment"] is not None:
-            best = res["best"]
-            best_edges = res["assignment"]
-    witness = (Graph.from_edges(n, best_edges)
-               if best_edges is not None else seed)
-    return SearchReport(best, witness, exhausted, nodes, pr, pb,
-                        time.monotonic() - start)
-
-
-def _expand_ex_prefixes(n: int, forest: LinearForest, levels: int,
-                        incumbent: int) -> tuple[list[tuple[bool, ...]], dict]:
-    edges = lex_edges(n)
-    me = len(edges)
-    stats = {"nodes": 0, "pruned_rainbow": 0}
-    frontier: list[tuple[bool, ...]] = [()]
-    for i in range(levels):
-        nxt: list[tuple[bool, ...]] = []
-        for prefix in frontier:
-            adj = [0] * n
-            count = 0
-            for j, take in enumerate(prefix):
-                if take:
-                    u, v = edges[j]
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
-                    count += 1
-            if count + (me - i) <= incumbent:
-                continue
-            u, v = edges[i]
-            if not _twin_forbids(adj, u, v):
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-                stats["nodes"] += 1
-                if _contains_with_anchor(n, adj, forest, edges[i]):
-                    stats["pruned_rainbow"] += 1
-                else:
-                    nxt.append(prefix + (True,))
-            nxt.append(prefix + (False,))
-        frontier = nxt
-    return frontier, stats
+    report, path = _search(_ExProblem, n, forest, seed.edge_count, budget,
+                           start)
+    report.witness = seed if path is None else Graph.from_edges(
+        n, [e for e, take in zip(lex_edges(n), path) if take])
+    return report
 
 
 def verify_witness(report: SearchReport, forest: LinearForest) -> bool:

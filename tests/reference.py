@@ -43,6 +43,29 @@ def naive_has_rainbow(coloring: EdgeColoring, forest: LinearForest) -> bool:
     return False
 
 
+def naive_has_anchored_rainbow(n: int, color_of: dict, forest: LinearForest,
+                               anchor) -> bool:
+    """Permutation-enumeration rainbow detection on a partially colored K_n.
+
+    Only the edges in color_of exist, and the copy must use the anchor edge.
+    """
+    f = forest.num_vertices
+    if f > n:
+        return False
+    for perm in permutations(range(n), f):
+        used = []
+        pos = 0
+        for t in forest.parts:
+            seq = perm[pos:pos + t]
+            pos += t
+            used.extend((min(a, b), max(a, b)) for a, b in zip(seq, seq[1:]))
+        colors = [color_of.get(e) for e in used]
+        if (anchor in used and None not in colors
+                and len(set(colors)) == len(colors)):
+            return True
+    return False
+
+
 def naive_contains(n: int, edge_set: set, forest: LinearForest) -> bool:
     f = forest.num_vertices
     if f > n:

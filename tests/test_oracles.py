@@ -7,8 +7,10 @@ from arforest import (EdgeColoring, Graph, LinearForest, SearchBudget,
                       SearchReport, ar_linear_forest, brute_force_ar,
                       brute_force_ex, build_forest_coloring, erdos_gallai_bound,
                       ex_linear_forest, lex_edges, verify_witness)
-from arforest.oracles import _expand_ex_prefixes, _twin_forbids
-from reference import faudree_schelp, naive_ar, naive_ex
+from arforest import rainbow
+from arforest.oracles import _ArProblem, _dfs, _ExProblem, _twin_forbids
+from reference import (faudree_schelp, naive_ar, naive_ex, naive_has_rainbow,
+                       set_partitions)
 
 LF = LinearForest.parse
 
@@ -27,6 +29,14 @@ def forest_specs(max_vertices: int, largest: int):
 # every linear forest that fits in K_n, n = 2..6: 23 cases
 SMALL_FORESTS = [(n, spec) for n in range(2, 7)
                  for spec in forest_specs(n, n)]
+
+
+def frontier(problem_cls, n: int, spec: str, depth: int) -> list:
+    """Decision prefixes the search reaches at the given depth, in order."""
+    res = _dfs(problem_cls, n, LF(spec).parts, (), 0, 10**9, float("inf"),
+               stop_at=depth)
+    assert res["exhausted"]
+    return res["frontier"]
 
 
 class TestBruteForceAr:
@@ -52,16 +62,24 @@ class TestBruteForceAr:
             brute_force_ar(4, LF("3,2"), FAST)
 
     def test_leaf_enumeration_is_canonical(self):
-        # the search walks each partition of the edge set exactly once,
-        # in restricted-growth form
-        leaves: list = []
-        brute_force_ar(4, LF("4"), FAST, collect_leaves=leaves)
+        # the search walks each rainbow-P4-free partition of K_4's edges
+        # exactly once, in restricted-growth form
+        n, forest = 4, LF("4")
+        edges = lex_edges(n)
+        leaves = frontier(_ArProblem, n, "4", len(edges))
         assert len(leaves) == len(set(leaves))
         for assign in leaves:
             seen_max = -1
             for c in assign:
                 assert c <= seen_max + 1
                 seen_max = max(seen_max, c)
+        expected = set()
+        for part in set_partitions(edges):
+            coloring = EdgeColoring(n, {e: cid for cid, block in enumerate(part)
+                                        for e in block}).canonical()
+            if not naive_has_rainbow(coloring, forest):
+                expected.add(tuple(coloring.color_of[e] for e in edges))
+        assert set(leaves) == expected
 
     def test_at_least_construction(self):
         # lower bound from the explicit extremal coloring must be attained
@@ -156,7 +174,7 @@ class TestBruteForceEx:
         # at row 0 every later vertex is a twin of every other, so the
         # lex-leader rule admits only 1...10...0 over the first four edges
         for n, spec in [(5, "2,2"), (8, "4,3"), (9, "3,2")]:
-            prefixes, _ = _expand_ex_prefixes(n, LF(spec), 4, 0)
+            prefixes = frontier(_ExProblem, n, spec, 4)
             assert 1 <= len(prefixes) <= 5
             for prefix in prefixes:
                 assert list(prefix) == sorted(prefix, reverse=True)
@@ -187,6 +205,49 @@ class TestBruteForceEx:
         report = brute_force_ex(8, LF("4,3"), SearchBudget(max_nodes=10))
         assert not report.exhausted
         assert report.witness is not None  # seeded incumbent survives
+
+
+class TestBudgets:
+    def test_deadline_is_checked_at_every_node(self):
+        report = brute_force_ar(7, LF("4,2"), SearchBudget(max_millis=200))
+        assert not report.exhausted
+        assert report.elapsed_seconds < 0.4
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("oracle,n,spec,max_nodes", [
+        (brute_force_ex, 9, "6,2", 5_000),
+        (brute_force_ar, 6, "5", 2_000),
+    ])
+    def test_node_budget_holds_across_tasks(self, oracle, n, spec, max_nodes,
+                                            parallelism):
+        report = oracle(n, LF(spec), SearchBudget(max_nodes=max_nodes,
+                                                  parallelism=parallelism))
+        assert not report.exhausted
+        assert 0 < report.nodes_visited <= max_nodes
+
+    @pytest.mark.parametrize("oracle,n,spec", [
+        (brute_force_ar, 5, "3,2"), (brute_force_ex, 7, "4,2"),
+    ])
+    def test_oracles_call_the_module_detector(self, monkeypatch, oracle, n,
+                                              spec):
+        # the search looks the detector up on the rainbow module at each
+        # call, so a wrapper sees every call; each hit prunes one branch (the
+        # EX seed candidates checked here are all forest-free)
+        calls = hits = 0
+        detect = rainbow._search_forest
+
+        def counting(*args, **kwargs):
+            nonlocal calls, hits
+            result = detect(*args, **kwargs)
+            calls += 1
+            hits += result is not None
+            return result
+
+        monkeypatch.setattr(rainbow, "_search_forest", counting)
+        report = oracle(n, LF(spec), FAST)
+        assert report.exhausted
+        assert hits == report.pruned_by_rainbow > 0
+        assert calls > hits
 
 
 class TestVerifyWitness:

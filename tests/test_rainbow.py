@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arforest import (EdgeColoring, Graph, LinearForest, RecombinationError,
                       common_neighborhood, complete_graph, contains_subgraph,
-                      find_rainbow, lex_edges, recombine_representing,
-                      representing_graphs, sample_representing)
-from reference import naive_has_rainbow
+                      find_rainbow, find_rainbow_partial, lex_edges, norm_edge,
+                      recombine_representing, representing_graphs,
+                      sample_representing)
+from reference import naive_has_anchored_rainbow, naive_has_rainbow
 
 LF = LinearForest.parse
 
@@ -18,6 +21,24 @@ def random_coloring(rng: random.Random, n: int) -> EdgeColoring:
     assign = list(range(m)) + [rng.randrange(m) for _ in range(ne - m)]
     rng.shuffle(assign)
     return EdgeColoring.from_assignment(n, assign).canonical()
+
+
+@st.composite
+def anchored_partial_colorings(draw):
+    """A partially colored K_n (n <= 6), a colored anchor edge and a linear
+    forest on at most n vertices: the inputs the AR oracle's detector gets."""
+    n = draw(st.integers(2, 6))
+    edges = lex_edges(n)
+    # sparse hosts as often as dense ones; the anchor is the first edge
+    colored = draw(st.permutations(edges))[:draw(st.integers(1, len(edges)))]
+    colors = draw(st.lists(st.integers(0, 4), min_size=len(colored),
+                           max_size=len(colored)))
+    color_of = dict(zip(colored, colors))
+    anchor = colored[0]
+    spec = draw(st.sampled_from([s for s in ("2", "3", "4", "5", "6", "2,2",
+                                             "3,2", "4,2", "3,3", "2,2,2")
+                                 if LF(s).num_vertices <= n]))
+    return n, color_of, LF(spec), anchor
 
 
 class TestFindRainbow:
@@ -87,6 +108,25 @@ class TestFindRainbow:
             for spec in ("2,2", "3,2"):
                 assert (find_rainbow(c, LF(spec)) is None) == \
                     (find_rainbow(moved, LF(spec)) is None)
+
+
+class TestFindRainbowPartial:
+    @settings(max_examples=300, deadline=None)
+    @given(anchored_partial_colorings())
+    def test_anchored_agrees_with_naive(self, case):
+        n, color_of, forest, anchor = case
+        paths = find_rainbow_partial(n, color_of, forest, anchor=anchor)
+        assert (paths is not None) == naive_has_anchored_rainbow(
+            n, color_of, forest, anchor)
+        if paths is not None:
+            assert sorted(map(len, paths), reverse=True) == list(forest.parts)
+            assert len({v for seq in paths for v in seq}) == \
+                forest.num_vertices
+            used = [norm_edge(a, b) for seq in paths
+                    for a, b in zip(seq, seq[1:])]
+            assert anchor in used
+            colors = [color_of[e] for e in used]
+            assert len(set(colors)) == len(colors)
 
 
 class TestContainsSubgraph:
