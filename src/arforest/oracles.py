@@ -17,20 +17,39 @@ the number of edges left.
 brute_force_ex decides include or exclude per edge, include first, and is
 seeded with a detector-verified candidate extremal graph so the bound bites
 from the first node.  The bound is the edge count plus the edges left,
-capped by Erdos-Gallai when the forest is a single path.  In the lex order
-the edges (u, v), v > u, form row u of the adjacency matrix, and a
-lex-leader row rule breaks the symmetry of relabelling vertices.  At the
-start of row u, two vertices a < b, both > u, are twins when they have the
-same neighbours among 0..u-1; row u must be nonincreasing over each twin
-class, so (u, b) may be included only if (u, a) is, where a is b's nearest
-earlier twin.  No edge count is lost.  Suppose a graph obeys the rule in
-rows 0..u-1, and let p permute the vertices > u within their twin classes.
-Then p maps each edge (r, x) with r < u to (r, p(x)), and x and p(x) agree
-on all neighbours below u, so every row before u (and every twin class used
-there) is left unchanged and keeps its constraint; choosing the p that sorts
-row u gives an isomorphic graph that obeys the rule through row u.  By
-induction on u every graph has an isomorphic copy, with the same edge count
-and the same forest-freeness, that obeys the rule in every row.
+capped by Erdos-Gallai when the forest is a single path.
+
+In the lex order the edges (u, v), v > u, form row u of the adjacency
+matrix, and in both oracles a lex-leader row rule breaks the symmetry of
+relabelling vertices.  At the start of row u, two vertices a < b, both > u,
+are twins when their decisions toward every row r < u agree: the same
+neighbours among 0..u-1 for EX, the same colors on (r, a) and (r, b) for
+AR.  Each edge (u, v) is compared with (u, a), where a is v's nearest
+earlier twin.  Both proofs rest on one fact: if p permutes the vertices > u
+within their twin classes, p maps each edge (r, x) with r < u to (r, p(x)),
+and x and p(x) agree toward every row below u, so every row before u (and
+every twin class used there) is left unchanged and keeps its constraint.
+
+EX: row u must be nonincreasing over each twin class, so (u, v) may be
+included only if (u, a) is.  No edge count is lost.  Suppose a graph obeys
+the rule in rows 0..u-1; choosing the p that sorts row u gives an
+isomorphic graph that obeys the rule through row u.  By induction on u
+every graph has an isomorphic copy, with the same edge count and the same
+forest-freeness, that obeys the rule in every row.
+
+AR: row u must be nondecreasing over each twin class in restricted-growth
+labels, so (u, v) may take only colors >= the color of (u, a).  The fresh
+color is always admitted, so it is still tried first.  No color count is
+lost.  Suppose a coloring obeys the rule in rows 0..u-1, and pick the p
+whose row u, after restricted-growth relabelling, is lexicographically
+least.  Rows before u and their labels are unchanged.  Suppose twins a < b
+then had label(u, a) > label(u, b).  A color that first appears after
+position a gets a larger label than every color before it, so the color at
+b already appears before position a.  Swapping a and b thus lowers the
+label at position a and leaves every earlier position alone, which
+contradicts the choice of p.  By induction on u every coloring has a copy
+under relabelling of its vertices and colors, with the same color count and
+the same rainbow-freeness, that obeys the rule in every row.
 
 Both searches are budgeted: at most max_nodes nodes are visited and the
 deadline is checked at every node.  Running out of budget returns the best
@@ -49,7 +68,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from . import rainbow
 from .constructions import build_turan_extremal
@@ -125,21 +144,25 @@ class _ArProblem(_Problem):
     def __init__(self, n: int, parts: tuple[int, ...]):
         super().__init__(n, parts)
         self.color_of: dict[Edge, int] = {}
+        # col[v][u] is the color of (u, v), u < v, once decided
+        self.col = [[0] * n for _ in range(n)]
 
     def replay(self, prefix: tuple[int, ...]) -> int:
         for e, c in zip(self.edges, prefix):
             self._flip(e)
             self.color_of[e] = c
+            self.col[e[1]][e[0]] = c
         return max(prefix) + 1 if prefix else 0
 
     def bound(self, i: int, value: int) -> int:
         return value + len(self.edges) - i
 
     def branches(self, i: int, value: int, stats: dict):
-        e = self.edges[i]
+        e = u, v = self.edges[i]
         self._flip(e)
-        for c in range(value, -1, -1):  # fresh color first
+        for c in _twin_colors(self.col, u, v, value):
             self.color_of[e] = c
+            self.col[v][u] = c
             colors = value + 1 if c == value else value
             if rainbow._search_forest(self.n, self.adj, self.parts,
                                       color_of=self.color_of,
@@ -184,19 +207,37 @@ class _ExProblem(_Problem):
         yield False, value
 
 
-def _twin_forbids(adj: list[int], u: int, v: int) -> bool:
-    """Whether the lex-leader row rule excludes edge (u, v).
+def _nearest_twin(u: int, v: int,
+                  key: Callable[[int], object]) -> Optional[int]:
+    """v's nearest earlier twin at row u: the largest a, u < a < v, whose
+    decisions toward rows below u (given by key) equal v's, or None."""
+    k = key(v)
+    for a in range(v - 1, u, -1):
+        if key(a) == k:
+            return a
+    return None
 
-    The nearest earlier twin a of v (u < a < v, same neighbours below u)
-    has already been decided in row u; (u, v) may be included only if
-    (u, a) was.
+
+def _twin_forbids(adj: list[int], u: int, v: int) -> bool:
+    """Whether the EX row rule excludes edge (u, v).
+
+    Twins have the same neighbours below u; (u, v) may be included only if
+    (u, a) was, a being v's nearest earlier twin.
     """
     low = (1 << u) - 1
-    key = adj[v] & low
-    for a in range(v - 1, u, -1):
-        if adj[a] & low == key:
-            return not adj[u] >> a & 1
-    return False
+    a = _nearest_twin(u, v, lambda x: adj[x] & low)
+    return a is not None and not adj[u] >> a & 1
+
+
+def _twin_colors(col: list[list[int]], u: int, v: int, value: int) -> range:
+    """The colors the AR row rule admits on edge (u, v), fresh color first.
+
+    col[x][r] is the color of (r, x), and value is the number of colors
+    used so far.  Twins have the same colors toward rows below u; (u, v) may
+    take only colors >= that of (u, a), a being v's nearest earlier twin.
+    """
+    a = _nearest_twin(u, v, lambda x: col[x][:u])
+    return range(value, -1 if a is None else col[a][u] - 1, -1)
 
 
 def _dfs(problem_cls: type, n: int, parts: tuple[int, ...], prefix: tuple,

@@ -92,13 +92,15 @@ def naive_ar(n: int, forest: LinearForest) -> int:
     edges = lex_edges(n)
     best = 0
     for part in set_partitions(edges):
+        if len(part) <= best:
+            continue  # cannot beat the best found
         color_of = {}
         for cid, block in enumerate(part):
             for e in block:
                 color_of[e] = cid
         coloring = EdgeColoring(n, color_of).canonical()
         if not naive_has_rainbow(coloring, forest):
-            best = max(best, len(part))
+            best = len(part)
     return best
 
 

@@ -8,7 +8,8 @@ from arforest import (EdgeColoring, Graph, LinearForest, SearchBudget,
                       brute_force_ex, build_forest_coloring, erdos_gallai_bound,
                       ex_linear_forest, lex_edges, verify_witness)
 from arforest import rainbow
-from arforest.oracles import _ArProblem, _dfs, _ExProblem, _twin_forbids
+from arforest.oracles import (_ArProblem, _dfs, _ExProblem, _twin_colors,
+                              _twin_forbids)
 from reference import (faudree_schelp, naive_ar, naive_ex, naive_has_rainbow,
                        set_partitions)
 
@@ -30,6 +31,12 @@ def forest_specs(max_vertices: int, largest: int):
 SMALL_FORESTS = [(n, spec) for n in range(2, 7)
                  for spec in forest_specs(n, n)]
 
+# every linear forest that fits in K_n, n = 2..4, and four at n = 5, where
+# naive_ar takes 1-2.5 s per forest
+AR_NAIVE_FORESTS = [(n, spec) for n in range(2, 5)
+                    for spec in forest_specs(n, n)] + [
+    (5, "2,2"), (5, "5"), (5, "4"), (5, "3,2")]
+
 
 def frontier(problem_cls, n: int, spec: str, depth: int) -> list:
     """Decision prefixes the search reaches at the given depth, in order."""
@@ -39,6 +46,29 @@ def frontier(problem_cls, n: int, spec: str, depth: int) -> list:
     return res["frontier"]
 
 
+def rg_colorings(n: int):
+    """Every coloring of K_n's edges, as a restricted-growth string."""
+    edges = lex_edges(n)
+    for part in set_partitions(edges):
+        coloring = EdgeColoring(n, {e: cid for cid, block in enumerate(part)
+                                    for e in block}).canonical()
+        yield tuple(coloring.color_of[e] for e in edges)
+
+
+def coloring_class(n: int, assign: tuple) -> tuple:
+    """The least restricted-growth string over all relabellings of the
+    vertices: one key per coloring class."""
+    edges = lex_edges(n)
+    best = None
+    for p in permutations(range(n)):
+        moved = {(min(p[a], p[b]), max(p[a], p[b])): c
+                 for (a, b), c in zip(edges, assign)}
+        labels: dict = {}
+        key = tuple(labels.setdefault(moved[e], len(labels)) for e in edges)
+        best = key if best is None else min(best, key)
+    return best
+
+
 class TestBruteForceAr:
     @pytest.mark.parametrize("n,spec,expected", [
         # K_4's three monochromatic perfect matchings block rainbow 2K_2,
@@ -46,6 +76,7 @@ class TestBruteForceAr:
         (4, "3", 1), (4, "4", 3), (4, "2,2", 3),
         (5, "2,2", 1), (5, "3,2", 2), (5, "4", 2),
         (6, "2,2", 1), (6, "3,2", 2),
+        (6, "3,3", 7), (6, "2,2,2", 6),
     ])
     def test_pinned_values(self, n, spec, expected):
         report = brute_force_ar(n, LF(spec), FAST)
@@ -53,7 +84,7 @@ class TestBruteForceAr:
         assert report.value == expected
         assert verify_witness(report, LF(spec))
 
-    @pytest.mark.parametrize("n,spec", [(4, "3"), (4, "2,2"), (5, "2,2")])
+    @pytest.mark.parametrize("n,spec", AR_NAIVE_FORESTS)
     def test_agrees_with_naive(self, n, spec):
         assert brute_force_ar(n, LF(spec), FAST).value == naive_ar(n, LF(spec))
 
@@ -62,24 +93,59 @@ class TestBruteForceAr:
             brute_force_ar(4, LF("3,2"), FAST)
 
     def test_leaf_enumeration_is_canonical(self):
-        # the search walks each rainbow-P4-free partition of K_4's edges
-        # exactly once, in restricted-growth form
+        # the search walks rainbow-P4-free partitions of K_4's edges at most
+        # once each, in restricted-growth form; the row rule skips some
+        # relabellings but keeps one in every coloring class
         n, forest = 4, LF("4")
-        edges = lex_edges(n)
-        leaves = frontier(_ArProblem, n, "4", len(edges))
+        leaves = frontier(_ArProblem, n, "4", len(lex_edges(n)))
         assert len(leaves) == len(set(leaves))
         for assign in leaves:
             seen_max = -1
             for c in assign:
                 assert c <= seen_max + 1
                 seen_max = max(seen_max, c)
-        expected = set()
-        for part in set_partitions(edges):
-            coloring = EdgeColoring(n, {e: cid for cid, block in enumerate(part)
-                                        for e in block}).canonical()
-            if not naive_has_rainbow(coloring, forest):
-                expected.add(tuple(coloring.color_of[e] for e in edges))
-        assert set(leaves) == expected
+        free = {assign for assign in rg_colorings(n)
+                if not naive_has_rainbow(
+                    EdgeColoring.from_assignment(n, assign), forest)}
+        assert set(leaves) < free
+        assert ({coloring_class(n, a) for a in leaves}
+                == {coloring_class(n, a) for a in free})
+
+    def test_ar_row_rule_keeps_every_coloring_class(self):
+        # the rule may only drop relabellings: each of the 25 classes of the
+        # 203 colorings of K_4 must keep a restricted-growth labelling whose
+        # rows all pass the twin test
+        n = 4
+
+        def admitted(assign):
+            col = [[0] * n for _ in range(n)]
+            value = 0
+            for (u, v), c in zip(lex_edges(n), assign):
+                if c not in _twin_colors(col, u, v, value):
+                    return False
+                col[v][u] = c
+                value = max(value, c + 1)
+            return True
+
+        classes, kept, labelled = set(), set(), 0
+        for assign in rg_colorings(n):
+            key = coloring_class(n, assign)
+            classes.add(key)
+            if admitted(assign):
+                kept.add(key)
+                labelled += 1
+        assert len(classes) == 25
+        assert kept == classes
+        assert labelled < 203
+
+    def test_prefix_expansion_keeps_row_zero_nondecreasing(self):
+        # at row 0 every later vertex is a twin of every other, so each of
+        # the first four colors repeats the one before or is fresh
+        for n, spec in [(5, "3,2"), (6, "5"), (7, "4,2")]:
+            prefixes = frontier(_ArProblem, n, spec, 4)
+            assert 1 <= len(prefixes) <= 8
+            for prefix in prefixes:
+                assert list(prefix) == sorted(prefix)
 
     def test_at_least_construction(self):
         # lower bound from the explicit extremal coloring must be attained
