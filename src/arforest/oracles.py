@@ -11,8 +11,29 @@ a node whose bound cannot beat the incumbent is pruned.
 
 brute_force_ar decides one color per edge.  Colorings are enumerated as
 restricted-growth strings, which kills color-relabeling symmetry exactly;
-the fresh color is tried first.  The bound is the number of colors used plus
-the number of edges left.
+the fresh color is tried first.  It is seeded with a detector-verified hub
+coloring where build_path_coloring or build_forest_coloring applies.
+
+The AR bound is forward checking.  At a node with the edges before e_i
+decided and c colors used, call a remaining edge e (e_i or later) dead if
+giving e a color no decided edge has closes a rainbow copy of the forest
+among the decided edges and e, and alive otherwise.  The bound is c plus
+the number of alive edges.  It is sound: take any rainbow-free completion
+and any color it uses that no decided edge has, and let e be that color's
+first edge in lex order.  The decided edges and e, with the completion's
+colors, form a subcoloring of the completion, so they have no rainbow copy;
+rainbowness depends only on which edges share a color, and e shares none
+with the decided edges, so e is alive.  Distinct new colors have distinct
+first edges, so the completion has at most c + (alive edges) colors.  A dead
+edge stays dead in every descendant: its rainbow copy uses decided edges,
+which keep their colors, and e, whose color stays fresh.  So each node
+starts from its parent's dead edges, checks the others with one anchored
+detector call each (e_i first, which is also the fresh-color check of the
+node's first branch), and stops once colors used plus alive edges exceed
+the incumbent.  This is forward checking in the sense of Haralick and
+Elliott (1980), applied through the representing-graph argument of Erdos,
+Simonovits and Sos (1975): the first edges of the new colors pick one edge
+per new color, and each of them must be alive.
 
 brute_force_ex decides include or exclude per edge, include first, and is
 seeded with a detector-verified candidate extremal graph so the bound bites
@@ -71,7 +92,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from . import rainbow
-from .constructions import build_turan_extremal
+from .constructions import (ConstructionError, build_forest_coloring,
+                            build_path_coloring, build_turan_extremal)
 from .formulas import erdos_gallai_bound
 from .graphs import (Edge, EdgeColoring, Graph, LinearForest, complete_graph,
                      lex_edges)
@@ -93,13 +115,24 @@ class SearchBudget:
 
 @dataclass
 class SearchReport:
+    """What a search found and what it cost.
+
+    pruned_by_rainbow counts branches dropped by a detector hit, dead_edges
+    the detector hits of the AR forward-checking bound (0 for EX); a branch
+    whose fresh color the bound already found dead counts only there.
+    stop_reason is "exhausted", or the budget that stopped the search:
+    "millis" if any part of it ran out of time, else "nodes".
+    """
+
     value: int
     witness: Union[EdgeColoring, Graph, None]
     exhausted: bool
     nodes_visited: int = 0
     pruned_by_rainbow: int = 0
     pruned_by_bound: int = 0
+    dead_edges: int = 0
     elapsed_seconds: float = 0.0
+    stop_reason: str = "exhausted"
 
     def to_json_dict(self) -> dict:
         return {
@@ -109,16 +142,19 @@ class SearchReport:
                 "nodes": self.nodes_visited,
                 "pruned_by_rainbow": self.pruned_by_rainbow,
                 "pruned_by_bound": self.pruned_by_bound,
+                "dead_edges": self.dead_edges,
+                "stop_reason": self.stop_reason,
                 "elapsed_ms": round(self.elapsed_seconds * 1000.0, 3),
             },
         }
 
 
-_COUNTERS = ("nodes_visited", "pruned_by_rainbow", "pruned_by_bound")
+_COUNTERS = ("nodes_visited", "pruned_by_rainbow", "pruned_by_bound",
+             "dead_edges")
 
 
 class _BudgetExceeded(Exception):
-    pass
+    """Raised with the budget that ran out: "nodes" or "millis"."""
 
 
 class _Problem:
@@ -146,6 +182,9 @@ class _ArProblem(_Problem):
         self.color_of: dict[Edge, int] = {}
         # col[v][u] is the color of (u, v), u < v, once decided
         self.col = [[0] * n for _ in range(n)]
+        # dead[i + 1] is the bitmask of edges found dead at the current node
+        # at depth i; the node starts from its parent's, dead[i]
+        self.dead = [0] * (len(self.edges) + 1)
 
     def replay(self, prefix: tuple[int, ...]) -> int:
         for e, c in zip(self.edges, prefix):
@@ -154,23 +193,57 @@ class _ArProblem(_Problem):
             self.col[e[1]][e[0]] = c
         return max(prefix) + 1 if prefix else 0
 
-    def bound(self, i: int, value: int) -> int:
-        return value + len(self.edges) - i
+    def _closes(self, e: Edge, colors: int) -> bool:
+        """Whether e, colored and added, closes a rainbow copy of the forest
+        among the decided edges; colors counts the colors then in use."""
+        return rainbow._search_forest(self.n, self.adj, self.parts,
+                                      color_of=self.color_of,
+                                      num_colors=colors,
+                                      anchor=e) is not None
+
+    def bound(self, i: int, value: int, best: int, stats: dict) -> int:
+        """Colors used plus alive edges (see the module docstring), or the
+        cheaper colors used plus edges left once either shows that the node
+        cannot be pruned."""
+        cheap = value + len(self.edges) - i
+        if cheap <= best:
+            return cheap
+        dead = self.dead[i]
+        alive = 0
+        for j in range(i, len(self.edges)):
+            if dead >> j & 1:
+                continue
+            e = self.edges[j]
+            self._flip(e)
+            self.color_of[e] = value
+            if self._closes(e, value + 1):
+                dead |= 1 << j
+                stats["dead_edges"] += 1
+            else:
+                alive += 1
+            del self.color_of[e]
+            self._flip(e)
+            # edge i is always classified, as branches reuses its answer
+            if alive > best - value:
+                break
+        self.dead[i + 1] = dead
+        return value + alive if alive <= best - value else cheap
 
     def branches(self, i: int, value: int, stats: dict):
         e = u, v = self.edges[i]
+        fresh_dead = self.dead[i + 1] >> i & 1
         self._flip(e)
         for c in _twin_colors(self.col, u, v, value):
             self.color_of[e] = c
             self.col[v][u] = c
-            colors = value + 1 if c == value else value
-            if rainbow._search_forest(self.n, self.adj, self.parts,
-                                      color_of=self.color_of,
-                                      num_colors=colors,
-                                      anchor=e) is not None:
+            if c == value:
+                # the bound has made this very check on edge i
+                if not fresh_dead:
+                    yield c, value + 1
+            elif self._closes(e, value):
                 stats["pruned_by_rainbow"] += 1
             else:
-                yield c, colors
+                yield c, value
         del self.color_of[e]
         self._flip(e)
 
@@ -191,7 +264,7 @@ class _ExProblem(_Problem):
                 self._flip(e)
         return sum(prefix)
 
-    def bound(self, i: int, value: int) -> int:
+    def bound(self, i: int, value: int, best: int, stats: dict) -> int:
         return min(value + len(self.edges) - i, self.cap)
 
     def branches(self, i: int, value: int, stats: dict):
@@ -246,9 +319,9 @@ def _dfs(problem_cls: type, n: int, parts: tuple[int, ...], prefix: tuple,
     """Branch-and-bound over every extension of a decision prefix.
 
     Returns the best value, the full decision sequence that reached it (None
-    if nothing beat the given best), whether the subtree was exhausted, and
-    the counters.  With stop_at, nodes at that depth are not visited but
-    collected, in visiting order, under "frontier".
+    if nothing beat the given best), the stop reason ("exhausted" or the
+    budget that ran out), and the counters.  With stop_at, nodes at that
+    depth are not visited but collected, in visiting order, under "frontier".
     """
     problem = problem_cls(n, parts)
     me = len(problem.edges)
@@ -264,14 +337,16 @@ def _dfs(problem_cls: type, n: int, parts: tuple[int, ...], prefix: tuple,
         if i == stop:
             frontier.append(tuple(path))
             return
-        if stats["nodes_visited"] >= max_nodes or clock() > deadline:
-            raise _BudgetExceeded
+        if stats["nodes_visited"] >= max_nodes:
+            raise _BudgetExceeded("nodes")
+        if clock() > deadline:
+            raise _BudgetExceeded("millis")
         stats["nodes_visited"] += 1
         if i == me:
             if value > best:
                 best, found = value, tuple(path)
             return
-        if problem.bound(i, value) <= best:
+        if problem.bound(i, value, best, stats) <= best:
             stats["pruned_by_bound"] += 1
             return
         for decision, child in problem.branches(i, value, stats):
@@ -281,10 +356,10 @@ def _dfs(problem_cls: type, n: int, parts: tuple[int, ...], prefix: tuple,
 
     try:
         rec(len(prefix), problem.replay(prefix))
-        exhausted = True
-    except _BudgetExceeded:
-        exhausted = False
-    return {"best": best, "path": found, "exhausted": exhausted,
+        stop_reason = "exhausted"
+    except _BudgetExceeded as exc:
+        stop_reason = exc.args[0]
+    return {"best": best, "path": found, "stop_reason": stop_reason,
             "frontier": frontier, **stats}
 
 
@@ -348,11 +423,29 @@ def _search(problem_cls: type, n: int, forest: LinearForest, best: int,
     for res in results:
         if res["best"] > best:
             best, path = res["best"], res["path"]
+    reasons = {res["stop_reason"] for res in results}
+    if not all_ran:
+        reasons.add("nodes")  # a prefix got no node grant
+    stop_reason = ("millis" if "millis" in reasons
+                   else "nodes" if "nodes" in reasons else "exhausted")
     report = SearchReport(
-        best, None, all_ran and all(res["exhausted"] for res in results),
+        best, None, stop_reason == "exhausted",
         **{key: sum(res[key] for res in results) for key in _COUNTERS},
-        elapsed_seconds=time.monotonic() - start)
+        elapsed_seconds=time.monotonic() - start, stop_reason=stop_reason)
     return report, path
+
+
+def _seed_coloring(n: int, forest: LinearForest) -> Optional[EdgeColoring]:
+    """The hub coloring for (n, forest) if it exists and the detector finds
+    no rainbow copy in it, used as the incumbent; else None."""
+    try:
+        if forest.k == 1:
+            coloring = build_path_coloring(n, forest.parts[0], verify=False)
+        else:
+            coloring = build_forest_coloring(n, forest, verify=False)
+    except (ValueError, ConstructionError):
+        return None
+    return coloring if find_rainbow(coloring, forest) is None else None
 
 
 def brute_force_ar(n: int, forest: LinearForest,
@@ -361,9 +454,12 @@ def brute_force_ar(n: int, forest: LinearForest,
     if forest.num_vertices > n:
         raise ValueError(
             f"forest needs {forest.num_vertices} vertices but n={n}")
-    report, path = _search(_ArProblem, n, forest, 0, budget, time.monotonic())
-    if path is not None:
-        report.witness = EdgeColoring.from_assignment(n, path)
+    start = time.monotonic()
+    seed = _seed_coloring(n, forest)
+    report, path = _search(_ArProblem, n, forest,
+                           0 if seed is None else seed.m, budget, start)
+    report.witness = seed if path is None else EdgeColoring.from_assignment(
+        n, path)
     return report
 
 

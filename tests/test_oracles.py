@@ -6,10 +6,11 @@ import pytest
 from arforest import (EdgeColoring, Graph, LinearForest, SearchBudget,
                       SearchReport, ar_linear_forest, brute_force_ar,
                       brute_force_ex, build_forest_coloring, erdos_gallai_bound,
-                      ex_linear_forest, lex_edges, verify_witness)
+                      ex_linear_forest, find_rainbow, lex_edges,
+                      verify_witness)
 from arforest import rainbow
-from arforest.oracles import (_ArProblem, _dfs, _ExProblem, _twin_colors,
-                              _twin_forbids)
+from arforest.oracles import (_COUNTERS, _ArProblem, _dfs, _ExProblem,
+                              _seed_coloring, _twin_colors, _twin_forbids)
 from reference import (faudree_schelp, naive_ar, naive_ex, naive_has_rainbow,
                        set_partitions)
 
@@ -42,7 +43,7 @@ def frontier(problem_cls, n: int, spec: str, depth: int) -> list:
     """Decision prefixes the search reaches at the given depth, in order."""
     res = _dfs(problem_cls, n, LF(spec).parts, (), 0, 10**9, float("inf"),
                stop_at=depth)
-    assert res["exhausted"]
+    assert res["stop_reason"] == "exhausted"
     return res["frontier"]
 
 
@@ -77,6 +78,7 @@ class TestBruteForceAr:
         (5, "2,2", 1), (5, "3,2", 2), (5, "4", 2),
         (6, "2,2", 1), (6, "3,2", 2),
         (6, "3,3", 7), (6, "2,2,2", 6),
+        (6, "6", 7), (7, "5", 7), (7, "3,3", 7),
     ])
     def test_pinned_values(self, n, spec, expected):
         report = brute_force_ar(n, LF(spec), FAST)
@@ -87,6 +89,19 @@ class TestBruteForceAr:
     @pytest.mark.parametrize("n,spec", AR_NAIVE_FORESTS)
     def test_agrees_with_naive(self, n, spec):
         assert brute_force_ar(n, LF(spec), FAST).value == naive_ar(n, LF(spec))
+
+    @pytest.mark.parametrize("n,spec,colors", [
+        (5, "3", 1), (6, "5", 6), (7, "2,2", 1), (7, "3,2", 2),
+        # no seed: n < f + s, all parts odd, and a single edge
+        (5, "2,2", None), (6, "3,3", None), (4, "2", None),
+    ])
+    def test_seed_is_rainbow_free_and_below_the_value(self, n, spec, colors):
+        # a seed is a lower bound only if it has no rainbow copy
+        seed = _seed_coloring(n, LF(spec))
+        assert (None if seed is None else seed.m) == colors
+        if seed is not None:
+            assert find_rainbow(seed, LF(spec)) is None
+            assert seed.m <= brute_force_ar(n, LF(spec), FAST).value
 
     def test_forest_too_large_rejected(self):
         with pytest.raises(ValueError):
@@ -110,6 +125,21 @@ class TestBruteForceAr:
         assert set(leaves) < free
         assert ({coloring_class(n, a) for a in leaves}
                 == {coloring_class(n, a) for a in free})
+
+    @pytest.mark.parametrize("n,spec", [(4, "4"), (5, "3,2"), (5, "4")])
+    def test_bound_never_prunes_a_better_completion(self, n, spec):
+        # at every node the search reaches, the forward-checking bound must
+        # stay above best whenever some completion beats best; a search
+        # with best = -1 prunes nothing and finds the best completion
+        parts = LF(spec).parts
+        for depth in range(len(lex_edges(n))):
+            for prefix in frontier(_ArProblem, n, spec, depth):
+                top = _dfs(_ArProblem, n, parts, prefix, -1, 10**9,
+                           float("inf"))["best"]
+                problem = _ArProblem(n, parts)
+                value = problem.replay(prefix)
+                stats = dict.fromkeys(_COUNTERS, 0)
+                assert problem.bound(depth, value, top - 1, stats) >= top
 
     def test_ar_row_rule_keeps_every_coloring_class(self):
         # the rule may only drop relabellings: each of the 25 classes of the
@@ -282,7 +312,7 @@ class TestBudgets:
     @pytest.mark.parametrize("parallelism", [1, 2])
     @pytest.mark.parametrize("oracle,n,spec,max_nodes", [
         (brute_force_ex, 9, "6,2", 5_000),
-        (brute_force_ar, 6, "5", 2_000),
+        (brute_force_ar, 7, "4,2", 2_000),
     ])
     def test_node_budget_holds_across_tasks(self, oracle, n, spec, max_nodes,
                                             parallelism):
@@ -291,14 +321,29 @@ class TestBudgets:
         assert not report.exhausted
         assert 0 < report.nodes_visited <= max_nodes
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("budget,reason", [
+        (dict(max_nodes=5_000_000, max_millis=120_000), "exhausted"),
+        (dict(max_nodes=2_000), "nodes"),
+        (dict(max_millis=200), "millis"),
+    ])
+    def test_stop_reason(self, budget, reason, parallelism):
+        n, spec = (6, "3,2") if reason == "exhausted" else (7, "4,2")
+        report = brute_force_ar(n, LF(spec), SearchBudget(
+            parallelism=parallelism, **budget))
+        assert report.stop_reason == reason
+        assert report.exhausted == (reason == "exhausted")
+        assert report.to_json_dict()["stats"]["stop_reason"] == reason
+
     @pytest.mark.parametrize("oracle,n,spec", [
         (brute_force_ar, 5, "3,2"), (brute_force_ex, 7, "4,2"),
     ])
     def test_oracles_call_the_module_detector(self, monkeypatch, oracle, n,
                                               spec):
         # the search looks the detector up on the rainbow module at each
-        # call, so a wrapper sees every call; each hit prunes one branch (the
-        # EX seed candidates checked here are all forest-free)
+        # call, so a wrapper sees every call; each hit prunes one branch or,
+        # in the AR bound, marks one edge dead (the seed candidates checked
+        # here are all free of the forest)
         calls = hits = 0
         detect = rainbow._search_forest
 
@@ -312,8 +357,10 @@ class TestBudgets:
         monkeypatch.setattr(rainbow, "_search_forest", counting)
         report = oracle(n, LF(spec), FAST)
         assert report.exhausted
-        assert hits == report.pruned_by_rainbow > 0
+        assert hits == report.pruned_by_rainbow + report.dead_edges
+        assert report.pruned_by_rainbow > 0
         assert calls > hits
+        assert (report.dead_edges > 0) == (oracle is brute_force_ar)
 
 
 class TestVerifyWitness:
@@ -352,7 +399,8 @@ class TestReportShape:
         d = report.to_json_dict()
         assert d["value"] == 3 and d["exhausted"] is True
         assert set(d["stats"]) == {"nodes", "pruned_by_rainbow",
-                                   "pruned_by_bound", "elapsed_ms"}
+                                   "pruned_by_bound", "dead_edges",
+                                   "stop_reason", "elapsed_ms"}
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
