@@ -16,9 +16,8 @@ from .constructions import (ConstructionError, HubSpec, InteriorArrangement,
                             build_forest_coloring, build_path_coloring,
                             build_turan_extremal, hub_search)
 from .rainbow import (RecombinationError, RepresentingGraph,
-                      contains_subgraph, find_rainbow, find_rainbow_partial,
-                      recombine_representing, representing_graphs,
-                      sample_representing)
+                      contains_subgraph, find_rainbow, recombine_representing,
+                      representing_graphs, sample_representing)
 from .oracles import (SearchBudget, SearchReport, brute_force_ar,
                       brute_force_ex, verify_witness)
 
@@ -35,7 +34,7 @@ __all__ = [
     "build_forest_coloring", "build_path_coloring", "build_turan_extremal",
     "hub_search",
     "RecombinationError", "RepresentingGraph", "contains_subgraph",
-    "find_rainbow", "find_rainbow_partial", "recombine_representing",
+    "find_rainbow", "recombine_representing",
     "representing_graphs", "sample_representing",
     "SearchBudget", "SearchReport", "brute_force_ar", "brute_force_ex",
     "verify_witness",

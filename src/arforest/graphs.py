@@ -1,12 +1,13 @@
 """Core data types: graphs with bitset adjacency, linear forests, edge colorings.
 
 Vertices are 0-based contiguous integers.  Edges are normalized as (min, max)
-tuples so they can be used as dict keys everywhere.  All types are immutable
-after construction and safe to share across threads.
+tuples, and an edge coloring stores one color per edge in lex edge order.
+All types are immutable after construction and safe to share across threads.
 """
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -181,36 +182,69 @@ class LinearForest:
         return "+".join(f"P{t}" for t in self.parts)
 
 
+def _edge_index(n: int, u: int, v: int) -> int:
+    """Position of edge (u, v), 0 <= u < v < n, in lex_edges(n)."""
+    return u * n - u * (u + 1) // 2 + v - u - 1
+
+
 class EdgeColoring:
-    """A surjective coloring of the edges of K_n with color ids {0..m-1}."""
+    """A surjective coloring of the edges of K_n with color ids {0..m-1}.
 
-    __slots__ = ("n", "color_of", "m")
+    colors holds one color per edge of K_n in lex edge order; color_of is a
+    read-only edge -> color view of it.
+    """
 
-    def __init__(self, n: int, color_of: dict[Edge, int]):
+    __slots__ = ("n", "colors", "m")
+
+    def __init__(self, n: int, color_of: Mapping[Edge, int]):
         if n < 1:
             raise ValueError("coloring needs n >= 1")
-        expected = set(lex_edges(n))
+        edges = lex_edges(n)
+        expected = set(edges)
         if set(color_of) != expected:
             missing = expected - set(color_of)
             extra = set(color_of) - expected
             raise ValueError(
                 f"coloring must cover K_{n} exactly; "
                 f"missing={sorted(missing)[:3]} extra={sorted(extra)[:3]}")
-        ids = set(color_of.values())
+        self._init(n, tuple(color_of[e] for e in edges))
+
+    def _init(self, n: int, colors: tuple[int, ...]) -> None:
+        ids = set(colors)
         m = len(ids)
         if ids != set(range(m)):
             raise ValueError("color ids must be dense in {0..m-1}")
         self.n = n
-        self.color_of = dict(color_of)
+        self.colors = colors
         self.m = m
 
+    @property
+    def color_of(self) -> Mapping[Edge, int]:
+        return _ColorView(self)
+
     def color(self, u: int, v: int) -> int:
-        return self.color_of[norm_edge(u, v)]
+        """The color of edge uv; KeyError if an endpoint is not in 0..n-1,
+        ValueError if u == v."""
+        u, v = norm_edge(u, v)
+        if u < 0 or v >= self.n:
+            raise KeyError((u, v))
+        return self.colors[_edge_index(self.n, u, v)]
+
+    def matrix(self) -> list[list[int]]:
+        """The symmetric n x n color matrix, -1 on the diagonal."""
+        n = self.n
+        col = [[-1] * n for _ in range(n)]
+        it = iter(self.colors)
+        for u in range(n):
+            row = col[u]
+            for v in range(u + 1, n):
+                row[v] = col[v][u] = next(it)
+        return col
 
     def color_classes(self) -> list[list[Edge]]:
         classes: list[list[Edge]] = [[] for _ in range(self.m)]
-        for e in lex_edges(self.n):
-            classes[self.color_of[e]].append(e)
+        for e, c in zip(lex_edges(self.n), self.colors):
+            classes[c].append(e)
         return classes
 
     def canonical(self) -> "EdgeColoring":
@@ -219,38 +253,41 @@ class EdgeColoring:
         Colorings equal up to color relabeling compare equal after this.
         """
         relabel: dict[int, int] = {}
-        out: dict[Edge, int] = {}
-        for e in lex_edges(self.n):
-            c = self.color_of[e]
-            if c not in relabel:
-                relabel[c] = len(relabel)
-            out[e] = relabel[c]
-        return EdgeColoring(self.n, out)
+        return EdgeColoring.from_assignment(
+            self.n, [relabel.setdefault(c, len(relabel)) for c in self.colors])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, EdgeColoring)
-                and self.n == other.n and self.color_of == other.color_of)
+                and self.n == other.n and self.colors == other.colors)
 
     def __repr__(self) -> str:
         return f"EdgeColoring(n={self.n}, m={self.m})"
 
     @classmethod
     def monochromatic(cls, n: int) -> "EdgeColoring":
-        return cls(n, {e: 0 for e in lex_edges(n)})
+        return cls.from_assignment(n, [0] * (n * (n - 1) // 2))
 
     @classmethod
     def all_rainbow(cls, n: int) -> "EdgeColoring":
-        return cls(n, {e: i for i, e in enumerate(lex_edges(n))})
+        return cls.from_assignment(n, range(n * (n - 1) // 2))
 
     @classmethod
     def from_assignment(cls, n: int, colors: Iterable[int]) -> "EdgeColoring":
         """Build from one color per lex-ordered edge of K_n."""
-        return cls(n, dict(zip(lex_edges(n), colors, strict=True)))
+        if n < 1:
+            raise ValueError("coloring needs n >= 1")
+        colors = tuple(colors)
+        if len(colors) != n * (n - 1) // 2:
+            raise ValueError(f"K_{n} has {n * (n - 1) // 2} edges but "
+                             f"{len(colors)} colors were given")
+        coloring = cls.__new__(cls)
+        coloring._init(n, colors)
+        return coloring
 
     def to_text(self) -> str:
         lines = [f"{self.n} {self.m}"]
-        for (u, v) in lex_edges(self.n):
-            lines.append(f"{u} {v} {self.color_of[(u, v)]}")
+        for (u, v), c in zip(lex_edges(self.n), self.colors):
+            lines.append(f"{u} {v} {c}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -292,6 +329,28 @@ class EdgeColoring:
             raise GraphFormatError(
                 f"header claims {m} colors but {coloring.m} are present", 0)
         return coloring
+
+
+class _ColorView(Mapping):
+    """Read-only edge -> color mapping over a coloring's flat tuple."""
+
+    __slots__ = ("_coloring",)
+
+    def __init__(self, coloring: EdgeColoring):
+        self._coloring = coloring
+
+    def __getitem__(self, e: Edge) -> int:
+        c = self._coloring
+        if not (isinstance(e, tuple) and len(e) == 2
+                and 0 <= e[0] < e[1] < c.n):
+            raise KeyError(e)
+        return c.colors[_edge_index(c.n, *e)]
+
+    def __iter__(self) -> Iterator[Edge]:
+        return iter(lex_edges(self._coloring.n))
+
+    def __len__(self) -> int:
+        return len(self._coloring.colors)
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,6 @@ pruning, never correctness).
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -179,8 +178,8 @@ class _ArProblem(_Problem):
 
     def __init__(self, n: int, parts: tuple[int, ...]):
         super().__init__(n, parts)
-        self.color_of: dict[Edge, int] = {}
-        # col[v][u] is the color of (u, v), u < v, once decided
+        # col[u][v] = col[v][u] is the color of (u, v) once decided; the
+        # detector reads it only for edges in adj
         self.col = [[0] * n for _ in range(n)]
         # dead[i + 1] is the bitmask of edges found dead at the current node
         # at depth i; the node starts from its parent's, dead[i]
@@ -189,16 +188,18 @@ class _ArProblem(_Problem):
     def replay(self, prefix: tuple[int, ...]) -> int:
         for e, c in zip(self.edges, prefix):
             self._flip(e)
-            self.color_of[e] = c
-            self.col[e[1]][e[0]] = c
+            self._paint(e, c)
         return max(prefix) + 1 if prefix else 0
+
+    def _paint(self, e: Edge, c: int) -> None:
+        u, v = e
+        self.col[u][v] = self.col[v][u] = c
 
     def _closes(self, e: Edge, colors: int) -> bool:
         """Whether e, colored and added, closes a rainbow copy of the forest
         among the decided edges; colors counts the colors then in use."""
         return rainbow._search_forest(self.n, self.adj, self.parts,
-                                      color_of=self.color_of,
-                                      num_colors=colors,
+                                      col=self.col, num_colors=colors,
                                       anchor=e) is not None
 
     def bound(self, i: int, value: int, best: int, stats: dict) -> int:
@@ -215,13 +216,12 @@ class _ArProblem(_Problem):
                 continue
             e = self.edges[j]
             self._flip(e)
-            self.color_of[e] = value
+            self._paint(e, value)
             if self._closes(e, value + 1):
                 dead |= 1 << j
                 stats["dead_edges"] += 1
             else:
                 alive += 1
-            del self.color_of[e]
             self._flip(e)
             # edge i is always classified, as branches reuses its answer
             if alive > best - value:
@@ -234,8 +234,7 @@ class _ArProblem(_Problem):
         fresh_dead = self.dead[i + 1] >> i & 1
         self._flip(e)
         for c in _twin_colors(self.col, u, v, value):
-            self.color_of[e] = c
-            self.col[v][u] = c
+            self._paint(e, c)
             if c == value:
                 # the bound has made this very check on edge i
                 if not fresh_dead:
@@ -244,7 +243,6 @@ class _ArProblem(_Problem):
                 stats["pruned_by_rainbow"] += 1
             else:
                 yield c, value
-        del self.color_of[e]
         self._flip(e)
 
 
@@ -374,6 +372,10 @@ def _run_parallel(problem_cls: type, n: int, parts: tuple[int, ...],
     when it finishes, so all tasks together visit at most nodes_left nodes.
     Returns the task results and whether every prefix got a task.
     """
+    # imported here because the process pool brings in multiprocessing,
+    # pickle and socket, about 2 MiB resident that sequential runs never use
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
     results: list[dict] = []
     queue = list(reversed(prefixes))
     slots = 2 * workers
@@ -516,7 +518,10 @@ def verify_witness(report: SearchReport, forest: LinearForest) -> bool:
     """Re-validate a search witness against its reported value."""
     w = report.witness
     if w is None:
-        return False
+        # every coloring has a rainbow copy of a single edge, so the exact
+        # AR value 0 of P2 is the one answer without a witness
+        return (report.exhausted and report.value == 0
+                and forest.num_edges == 1)
     if isinstance(w, EdgeColoring):
         return w.m == report.value and find_rainbow(w, forest) is None
     if isinstance(w, Graph):

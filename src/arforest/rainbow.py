@@ -1,12 +1,24 @@
 """Rainbow and plain linear-forest detection plus representing-graph machinery.
 
-The detector is a depth-first backtracker that places path parts longest
-first, extending one endpoint at a time over bitset adjacency.  Two symmetry
-rules keep it from duplicating work without losing witnesses: a completed
-path must start at its smaller endpoint, and equal-length parts are forced
-into increasing order of their smallest host vertex.  A trailing block of
-2-vertex parts first gets a cheap greedy matching attempt before the full
-backtracking kicks in.
+One detector, _search_forest, serves every caller.  The host is a list of
+adjacency bitmasks and, for a colored host, a symmetric n x n color matrix,
+col[u][v] being the color of edge uv (entries of absent edges are never
+read).  The colors a partial embedding uses are an int bitmask, so a
+rainbow check is one shift and one and.
+
+The search is a depth-first backtracker that places path parts longest
+first, extending one endpoint at a time.  Two symmetry rules keep it from
+duplicating work without losing witnesses: a completed path must start at
+its smaller endpoint, and equal-length parts are forced into increasing
+order of their smallest host vertex.  A trailing block of 2-vertex parts
+first gets a cheap greedy matching attempt before the full backtracking
+kicks in.
+
+An anchored search must use a given edge uv.  For each distinct part
+length t and each split of the other t - 2 vertices into left and right, it
+grows the part from u by the left count, then from v by the right count,
+and places the other parts with the same search as above, outside the
+vertices and colors the anchored part took.
 """
 from __future__ import annotations
 
@@ -17,7 +29,7 @@ from math import prod
 from typing import Iterator, Optional
 
 from .graphs import (Edge, EdgeColoring, Embedding, Graph, LinearForest,
-                     complete_graph, common_neighborhood, lex_edges, norm_edge)
+                     complete_graph, common_neighborhood, norm_edge)
 
 
 class RecombinationError(ValueError):
@@ -28,181 +40,153 @@ def _search_forest(
     n: int,
     adj,
     parts: tuple[int, ...],
-    color_of: Optional[dict[Edge, int]] = None,
+    col: Optional[list[list[int]]] = None,
     num_colors: Optional[int] = None,
     anchor: Optional[Edge] = None,
 ) -> Optional[list[tuple[int, ...]]]:
     """Find a (rainbow, if colored) embedding of the given path parts.
 
-    adj holds host adjacency bitmasks; color_of, when given, maps host edges
-    to colors and forces all used colors distinct.  anchor, when given, must
-    appear among the used edges.  Returns one vertex sequence per part.
+    adj holds host adjacency bitmasks; col, when given, is the host's
+    symmetric color matrix and forces all used colors distinct, and
+    num_colors, when given, is the host's color count.  anchor, when given,
+    must appear among the used edges.  Returns one vertex sequence per part.
     """
-    need = sum(t - 1 for t in parts)
-    if color_of is not None:
-        if num_colors is None:
-            num_colors = len(set(color_of.values()))
-        # quick reject: every used edge consumes a distinct color
-        if num_colors < need:
-            return None
-    if anchor is not None:
-        return _search_anchored(n, adj, parts, anchor, color_of)
-    return _search_plain(n, adj, parts, color_of, 0, set())
-
-
-def _search_plain(
-    n: int,
-    adj,
-    parts: tuple[int, ...],
-    color_of: Optional[dict[Edge, int]],
-    init_mask: int,
-    init_colors: set[int],
-) -> Optional[list[tuple[int, ...]]]:
-    kparts = len(parts)
-    full = (1 << n) - 1
-    result: list[tuple[int, ...]] = []
-
-    def greedy_matching(start_part: int, used_mask: int,
-                        used_colors: set[int]) -> Optional[list[tuple[int, int]]]:
-        pairs: list[tuple[int, int]] = []
-        g_mask = used_mask
-        g_cols = set(used_colors)
-        for _ in range(kparts - start_part):
-            avail = full & ~g_mask
-            if not avail:
-                return None
-            u = (avail & -avail).bit_length() - 1
-            cand = adj[u] & avail
-            picked = -1
-            while cand:
-                v = (cand & -cand).bit_length() - 1
-                cand &= cand - 1
-                if color_of is not None:
-                    c = color_of[norm_edge(u, v)]
-                    if c in g_cols:
-                        continue
-                    g_cols.add(c)
-                picked = v
-                break
-            if picked < 0:
-                return None
-            pairs.append((u, picked))
-            g_mask |= (1 << u) | (1 << picked)
-        return pairs
-
-    def place_part(pi: int, used_mask: int, used_colors: set[int],
-                   prev_min: int) -> bool:
-        if pi == kparts:
-            return True
-        t = parts[pi]
-        if t == 2:
-            pairs = greedy_matching(pi, used_mask, used_colors)
-            if pairs is not None:
-                result.extend(pairs)
-                return True
-        # choose the path one vertex at a time from the free end
-        seq: list[int] = []
-
-        def extend(used_mask: int) -> bool:
-            if len(seq) == t:
-                if seq[0] > seq[-1]:
-                    return False
-                mn = min(seq)
-                if pi > 0 and parts[pi - 1] == t and mn < prev_min:
-                    return False
-                result.append(tuple(seq))
-                if place_part(pi + 1, used_mask, used_colors, mn):
-                    return True
-                result.pop()
-                return False
-            cand = (full if not seq else adj[seq[-1]]) & ~used_mask
-            while cand:
-                v = (cand & -cand).bit_length() - 1
-                cand &= cand - 1
-                col = None
-                if seq:
-                    if color_of is not None:
-                        col = color_of.get(norm_edge(seq[-1], v))
-                        if col is None or col in used_colors:
-                            continue
-                        used_colors.add(col)
-                seq.append(v)
-                if extend(used_mask | (1 << v)):
-                    return True
-                seq.pop()
-                if col is not None:
-                    used_colors.discard(col)
-            return False
-
-        return extend(used_mask)
-
-    if place_part(0, init_mask, set(init_colors), -1):
-        return [tuple(seq) for seq in result]
-    return None
-
-
-def _anchored_paths(n, adj, t: int, u: int, v: int,
-                    color_of: Optional[dict[Edge, int]], base_color):
-    """Yield (sequence, used_mask, used_colors) for t-vertex paths through uv."""
-    base_mask = (1 << u) | (1 << v)
-    base_cols = {base_color} if base_color is not None else set()
-
-    def grow(seq: list[int], mask: int, cols: set[int], rem: int):
-        if rem == 0:
-            yield list(seq), mask, set(cols)
-            return
-        cand = adj[seq[-1]] & ~mask
-        while cand:
-            w = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            c = None
-            if color_of is not None:
-                c = color_of.get(norm_edge(seq[-1], w))
-                if c is None or c in cols:
-                    continue
-                cols.add(c)
-            seq.append(w)
-            yield from grow(seq, mask | (1 << w), cols, rem - 1)
-            seq.pop()
-            if c is not None:
-                cols.discard(c)
-
-    for left in range(t - 1):
-        right = t - 2 - left
-        for lseq, lmask, lcols in grow([u], base_mask, base_cols, left):
-            for rseq, rmask, rcols in grow([v], lmask, lcols, right):
-                yield list(reversed(lseq)) + rseq, rmask, rcols
-
-
-def _search_anchored(
-    n: int,
-    adj,
-    parts: tuple[int, ...],
-    anchor: Edge,
-    color_of: Optional[dict[Edge, int]],
-) -> Optional[list[tuple[int, ...]]]:
-    """Embedding that must traverse the anchor edge in one of its parts."""
+    # quick reject: every used edge consumes a distinct color
+    if num_colors is not None and num_colors < sum(parts) - len(parts):
+        return None
+    out: list[tuple[int, ...]] = []
+    if anchor is None:
+        return out if _place(n, adj, col, parts, 0, 0, 0, -1, out) else None
     u, v = anchor
     if not adj[u] >> v & 1:
         return None
-    base_color = None
-    if color_of is not None:
-        base_color = color_of.get(anchor)
-        if base_color is None:
-            return None
-    tried: set[int] = set()
+    mask = 1 << u | 1 << v
+    used = 0 if col is None else 1 << col[u][v]
     for idx, t in enumerate(parts):
-        if t in tried:
-            continue
-        tried.add(t)
+        if idx and parts[idx - 1] == t:
+            continue  # the same part again
         rest = parts[:idx] + parts[idx + 1:]
-        for seq, mask, cols in _anchored_paths(n, adj, t, u, v, color_of,
-                                               base_color):
-            sub = _search_plain(n, adj, rest, color_of, mask, cols)
-            if sub is not None:
-                sub.insert(idx, tuple(seq))
-                return sub
+        for left in range(t - 1):
+            if _through(n, adj, col, rest, [u], [v], left, t - 2 - left,
+                        mask, used, out):
+                paths = out[1:]
+                paths.insert(idx, out[0])
+                return paths
     return None
+
+
+def _place(n: int, adj, col, parts: tuple[int, ...], pi: int, mask: int,
+           used: int, prev_min: int, out: list) -> bool:
+    """Place parts[pi:] outside the vertices in mask and the colors in used,
+    appending one vertex sequence per part to out; prev_min is the smallest
+    vertex of part pi - 1."""
+    if pi == len(parts):
+        return True
+    if parts[pi] == 2 and _matching(n, adj, col, len(parts) - pi, mask, used,
+                                    out):
+        return True
+    return _path(n, adj, col, parts, pi, [], mask, used, prev_min, out)
+
+
+def _matching(n: int, adj, col, k: int, mask: int, used: int,
+              out: list) -> bool:
+    """Greedy try at k disjoint edges: the lowest free vertex takes its first
+    free neighbour whose edge color is unused."""
+    avail = ((1 << n) - 1) & ~mask
+    pairs = []
+    for _ in range(k):
+        if not avail:
+            return False
+        u = (avail & -avail).bit_length() - 1
+        cand = adj[u] & avail
+        row = None if col is None else col[u]
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            if row is not None:
+                bit = 1 << row[v]
+                if used & bit:
+                    continue
+                used |= bit
+            break
+        else:
+            return False
+        pairs.append((u, v))
+        avail &= ~(1 << u | 1 << v)
+    out.extend(pairs)
+    return True
+
+
+def _path(n: int, adj, col, parts: tuple[int, ...], pi: int, seq: list[int],
+          mask: int, used: int, prev_min: int, out: list) -> bool:
+    """Grow seq into part pi one vertex at a time from its free end, then
+    place the parts after it."""
+    t = parts[pi]
+    if len(seq) == t:
+        if seq[0] > seq[-1]:
+            return False
+        mn = min(seq)
+        if pi and parts[pi - 1] == t and mn < prev_min:
+            return False
+        out.append(tuple(seq))
+        if _place(n, adj, col, parts, pi + 1, mask, used, mn, out):
+            return True
+        out.pop()
+        return False
+    if seq:
+        cand = adj[seq[-1]] & ~mask
+        row = None if col is None else col[seq[-1]]
+    else:
+        cand = ((1 << n) - 1) & ~mask
+        row = None
+    while cand:
+        v = (cand & -cand).bit_length() - 1
+        cand &= cand - 1
+        bit = 0
+        if row is not None:
+            bit = 1 << row[v]
+            if used & bit:
+                continue
+        seq.append(v)
+        if _path(n, adj, col, parts, pi, seq, mask | 1 << v, used | bit,
+                 prev_min, out):
+            return True
+        seq.pop()
+    return False
+
+
+def _through(n: int, adj, col, rest: tuple[int, ...], lseq: list[int],
+             rseq: list[int], left: int, right: int, mask: int, used: int,
+             out: list) -> bool:
+    """Grow lseq by left more vertices, then rseq by right more, then place
+    the rest parts; the anchored part is lseq reversed followed by rseq."""
+    if left:
+        seq, left = lseq, left - 1
+    elif right:
+        seq, right = rseq, right - 1
+    else:
+        out.append(tuple(lseq[::-1] + rseq))
+        if _place(n, adj, col, rest, 0, mask, used, -1, out):
+            return True
+        out.pop()
+        return False
+    end = seq[-1]
+    cand = adj[end] & ~mask
+    row = None if col is None else col[end]
+    while cand:
+        w = (cand & -cand).bit_length() - 1
+        cand &= cand - 1
+        bit = 0
+        if row is not None:
+            bit = 1 << row[w]
+            if used & bit:
+                continue
+        seq.append(w)
+        if _through(n, adj, col, rest, lseq, rseq, left, right, mask | 1 << w,
+                    used | bit, out):
+            return True
+        seq.pop()
+    return False
 
 
 def find_rainbow(coloring: EdgeColoring, forest: LinearForest,
@@ -210,27 +194,15 @@ def find_rainbow(coloring: EdgeColoring, forest: LinearForest,
     """A rainbow embedding of the forest in the colored K_n, or None."""
     if forest.num_vertices > coloring.n:
         return None
-    host = complete_graph(coloring.n)
-    paths = _search_forest(coloring.n, host.adj, forest.parts,
-                           color_of=coloring.color_of,
-                           num_colors=coloring.m, anchor=anchor)
+    col = coloring.matrix()
+    paths = _search_forest(coloring.n, complete_graph(coloring.n).adj,
+                           forest.parts, col=col, num_colors=coloring.m,
+                           anchor=anchor)
     if paths is None:
         return None
-    emb = Embedding(forest, tuple(paths))
-    colors = tuple(coloring.color_of[e] for e in emb.used_edges)
+    colors = tuple(col[a][b] for seq in paths
+                   for a, b in itertools.pairwise(seq))
     return Embedding(forest, tuple(paths), colors)
-
-
-def find_rainbow_partial(n: int, color_of: dict[Edge, int],
-                         forest: LinearForest,
-                         anchor: Optional[Edge] = None) -> Optional[list]:
-    """Rainbow search over a partially colored host (only colored edges exist)."""
-    adj = [0] * n
-    for (u, v) in color_of:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return _search_forest(n, tuple(adj), forest.parts, color_of=color_of,
-                          anchor=anchor)
 
 
 def contains_subgraph(g: Graph, forest: LinearForest,
@@ -258,7 +230,7 @@ class RepresentingGraph:
         if len(choice) != coloring.m:
             raise ValueError("need exactly one edge per color")
         for cid, e in enumerate(choice):
-            if coloring.color_of[e] != cid:
+            if coloring.color(*e) != cid:
                 raise ValueError(f"edge {e} does not carry color {cid}")
         return cls(coloring.n, tuple(choice),
                    Graph.from_edges(coloring.n, choice))
@@ -347,5 +319,5 @@ def recombine_representing(
     for y in witnesses_w:
         for w in set_w:
             e = norm_edge(y, w)
-            chosen[coloring.color_of[e]] = e
+            chosen[coloring.color(*e)] = e
     return RepresentingGraph.from_choice(coloring, tuple(chosen))

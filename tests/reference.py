@@ -66,23 +66,22 @@ def naive_has_anchored_rainbow(n: int, color_of: dict, forest: LinearForest,
     return False
 
 
-def naive_contains(n: int, edge_set: set, forest: LinearForest) -> bool:
+def naive_contains(n: int, edge_set: set, forest: LinearForest,
+                   anchor=None) -> bool:
+    """Permutation-enumeration containment in the graph with the given edges;
+    with anchor, the copy must use the anchor edge."""
     f = forest.num_vertices
     if f > n:
         return False
     for perm in permutations(range(n), f):
+        used = []
         pos = 0
-        ok = True
         for t in forest.parts:
             seq = perm[pos:pos + t]
             pos += t
-            for a, b in zip(seq, seq[1:]):
-                if (min(a, b), max(a, b)) not in edge_set:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+            used.extend((min(a, b), max(a, b)) for a, b in zip(seq, seq[1:]))
+        if (all(e in edge_set for e in used)
+                and (anchor is None or anchor in used)):
             return True
     return False
 

@@ -110,6 +110,37 @@ class TestEdgeColoring:
         assert c.m == 4
         assert max(c.color_of.values()) + 1 == c.m
 
+    def test_color_rejects_bad_endpoints(self):
+        # K_4's lex edges: 01 02 03 12 13 23
+        c = EdgeColoring.from_assignment(4, [0, 1, 2, 0, 1, 3])
+        assert c.color(2, 1) == c.color(1, 2) == 0
+        assert c.color(3, 2) == 3
+        for u, v in [(-1, 2), (0, 4), (2, -1), (4, 5)]:
+            with pytest.raises(KeyError):
+                c.color(u, v)
+        with pytest.raises(ValueError):
+            c.color(2, 2)
+
+    def test_from_assignment_checks_length_and_ids(self):
+        for assign in ([0] * 5, [0] * 7, [0, 0, 0, 0, 0, 2]):
+            with pytest.raises(ValueError):
+                EdgeColoring.from_assignment(4, assign)
+        with pytest.raises(ValueError):
+            EdgeColoring.from_assignment(0, [])
+
+    def test_color_of_is_a_read_only_view(self):
+        assign = [0, 1, 2, 0, 1, 3]
+        c = EdgeColoring.from_assignment(4, assign)
+        assert c.colors == tuple(assign)
+        assert dict(c.color_of) == dict(zip(lex_edges(4), assign))
+        assert (1, 0) not in c.color_of and (0, 4) not in c.color_of
+        with pytest.raises(KeyError):
+            c.color_of[(2, 1)]
+        with pytest.raises(TypeError):
+            c.color_of[(0, 1)] = 1
+        assert c.to_text() == "4 4\n0 1 0\n0 2 1\n0 3 2\n1 2 0\n1 3 1\n2 3 3\n"
+        assert EdgeColoring(4, dict(c.color_of)) == c
+
     def test_canonical_identifies_relabelings(self):
         c1 = EdgeColoring.from_assignment(4, [0, 1, 1, 0, 2, 2])
         c2 = EdgeColoring.from_assignment(4, [2, 0, 0, 2, 1, 1])

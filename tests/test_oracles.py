@@ -53,7 +53,7 @@ def rg_colorings(n: int):
     for part in set_partitions(edges):
         coloring = EdgeColoring(n, {e: cid for cid, block in enumerate(part)
                                     for e in block}).canonical()
-        yield tuple(coloring.color_of[e] for e in edges)
+        yield coloring.colors
 
 
 def coloring_class(n: int, assign: tuple) -> tuple:
@@ -372,6 +372,19 @@ class TestVerifyWitness:
     def test_rejects_missing_witness(self):
         report = SearchReport(value=3, witness=None, exhausted=True)
         assert not verify_witness(report, LF("2,2"))
+        # no witness passes only as the exhausted AR(n, P2) = 0
+        for value, exhausted, spec in [(0, False, "2"), (0, True, "2,2"),
+                                       (1, True, "2")]:
+            assert not verify_witness(
+                SearchReport(value, None, exhausted), LF(spec))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_accepts_exact_single_edge_answer(self, n):
+        # every coloring has a rainbow P2, so AR(n, P2) = 0 has no witness
+        report = brute_force_ar(n, LF("2"), FAST)
+        assert report.exhausted and report.value == 0
+        assert report.witness is None
+        assert verify_witness(report, LF("2"))
 
     def test_rejects_tampered_value(self):
         forest = LF("2,2")

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 from arforest import (EdgeColoring, Graph, LinearForest, RecombinationError,
                       common_neighborhood, complete_graph, contains_subgraph,
-                      find_rainbow, find_rainbow_partial, lex_edges, norm_edge,
+                      find_rainbow, lex_edges, norm_edge, rainbow,
                       recombine_representing, representing_graphs,
                       sample_representing)
-from reference import naive_has_anchored_rainbow, naive_has_rainbow
+from reference import (naive_contains, naive_has_anchored_rainbow,
+                       naive_has_rainbow)
 
 LF = LinearForest.parse
 
@@ -21,6 +22,9 @@ def random_coloring(rng: random.Random, n: int) -> EdgeColoring:
     assign = list(range(m)) + [rng.randrange(m) for _ in range(ne - m)]
     rng.shuffle(assign)
     return EdgeColoring.from_assignment(n, assign).canonical()
+
+
+SMALL_SPECS = ("2", "3", "4", "5", "6", "2,2", "3,2", "4,2", "3,3", "2,2,2")
 
 
 @st.composite
@@ -35,10 +39,33 @@ def anchored_partial_colorings(draw):
                            max_size=len(colored)))
     color_of = dict(zip(colored, colors))
     anchor = colored[0]
-    spec = draw(st.sampled_from([s for s in ("2", "3", "4", "5", "6", "2,2",
-                                             "3,2", "4,2", "3,3", "2,2,2")
+    spec = draw(st.sampled_from([s for s in SMALL_SPECS
                                  if LF(s).num_vertices <= n]))
     return n, color_of, LF(spec), anchor
+
+
+@st.composite
+def anchored_graphs(draw):
+    """A graph on n <= 6 vertices, one of its edges as the anchor and a
+    linear forest on at most n vertices: the inputs the EX oracle's detector
+    gets."""
+    n = draw(st.integers(2, 6))
+    pairs = lex_edges(n)
+    edges = draw(st.permutations(pairs))[:draw(st.integers(1, len(pairs)))]
+    spec = draw(st.sampled_from([s for s in SMALL_SPECS
+                                 if LF(s).num_vertices <= n]))
+    return Graph.from_edges(n, edges), LF(spec), edges[0]
+
+
+def partial_host(n: int, color_of: dict):
+    """Adjacency bitmasks and symmetric color matrix of the colored edges."""
+    adj = [0] * n
+    col = [[-1] * n for _ in range(n)]
+    for (u, v), c in color_of.items():
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        col[u][v] = col[v][u] = c
+    return adj, col
 
 
 class TestFindRainbow:
@@ -115,11 +142,13 @@ class TestFindRainbowPartial:
     @given(anchored_partial_colorings())
     def test_anchored_agrees_with_naive(self, case):
         n, color_of, forest, anchor = case
-        paths = find_rainbow_partial(n, color_of, forest, anchor=anchor)
+        adj, col = partial_host(n, color_of)
+        paths = rainbow._search_forest(n, adj, forest.parts, col=col,
+                                       anchor=anchor)
         assert (paths is not None) == naive_has_anchored_rainbow(
             n, color_of, forest, anchor)
         if paths is not None:
-            assert sorted(map(len, paths), reverse=True) == list(forest.parts)
+            assert list(map(len, paths)) == list(forest.parts)
             assert len({v for seq in paths for v in seq}) == \
                 forest.num_vertices
             used = [norm_edge(a, b) for seq in paths
@@ -130,6 +159,17 @@ class TestFindRainbowPartial:
 
 
 class TestContainsSubgraph:
+    @settings(max_examples=300, deadline=None)
+    @given(anchored_graphs())
+    def test_anchored_agrees_with_naive(self, case):
+        g, forest, anchor = case
+        emb = contains_subgraph(g, forest, anchor=anchor)
+        assert (emb is not None) == naive_contains(g.n, set(g.edges()),
+                                                   forest, anchor)
+        if emb is not None:
+            assert emb.valid_in(g)
+            assert anchor in emb.used_edges
+
     def test_hamiltonian_path_of_k4(self):
         assert contains_subgraph(complete_graph(4), LF("4")) is not None
 
