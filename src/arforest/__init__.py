@@ -12,7 +12,7 @@ from .formulas import (FormulaResult, OutOfValidityError,
                        UnsupportedForestError, ar_asymptotic_coefficient,
                        ar_linear_forest, ar_matching, ar_path,
                        erdos_gallai_bound, ex_k_p3, ex_linear_forest)
-from .constructions import (ConstructionError, HubSpec, InteriorArrangement,
+from .constructions import (ConstructionError, InteriorArrangement,
                             build_forest_coloring, build_path_coloring,
                             build_turan_extremal, hub_search)
 from .rainbow import (RecombinationError, RepresentingGraph,
@@ -30,7 +30,7 @@ __all__ = [
     "FormulaResult", "OutOfValidityError", "UnsupportedForestError",
     "ar_asymptotic_coefficient", "ar_linear_forest", "ar_matching",
     "ar_path", "erdos_gallai_bound", "ex_k_p3", "ex_linear_forest",
-    "ConstructionError", "HubSpec", "InteriorArrangement",
+    "ConstructionError", "InteriorArrangement",
     "build_forest_coloring", "build_path_coloring", "build_turan_extremal",
     "hub_search",
     "RecombinationError", "RepresentingGraph", "contains_subgraph",

@@ -9,14 +9,13 @@ is returned; by default that happens for hosts small enough to exhaust.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
 from .formulas import (ar_linear_forest, ar_path, epsilon_for_forest,
-                       ex_linear_forest, turan_constant)
+                       ex_linear_forest)
 from .graphs import (Edge, EdgeColoring, Embedding, Graph, LinearForest,
-                     common_neighborhood, lex_edges, norm_edge)
+                     common_neighborhood, lex_edges)
 from .rainbow import find_rainbow
 
 VERIFY_LIMIT = 12  # auto-verify colorings up to this host order
@@ -42,29 +41,6 @@ def _check_count(built: int, formula: int, what: str) -> None:
     if built != formula:
         raise ConstructionError(
             f"{what} has {built}, but the formula gives {formula}")
-
-
-@dataclass(frozen=True)
-class HubSpec:
-    """Shape summary of a hub-based extremal object."""
-
-    n: int
-    hub_size: int
-    forest: LinearForest
-    interior_colors: int
-    arrangement: InteriorArrangement
-
-    @classmethod
-    def for_anti_ramsey(cls, n: int, forest: LinearForest,
-                        arrangement: InteriorArrangement) -> "HubSpec":
-        return cls(n, forest.half_sum - 2, forest,
-                   1 + epsilon_for_forest(forest), arrangement)
-
-    @classmethod
-    def for_turan(cls, n: int, forest: LinearForest) -> "HubSpec":
-        return cls(n, forest.half_sum - 1, forest,
-                   1 + turan_constant(forest),
-                   InteriorArrangement.SINGLE_EDGE_SECOND_COLOR)
 
 
 def build_turan_extremal(n: int, forest: LinearForest) -> Graph:
@@ -174,11 +150,11 @@ def build_forest_coloring(
     """
     if forest.k < 2:
         raise ValueError("need at least two parts; use build_path_coloring")
-    spec = HubSpec.for_anti_ramsey(n, forest, arrangement)
     if n < forest.num_vertices + forest.half_sum:
         raise ValueError(
             f"n={n} < f+s={forest.num_vertices + forest.half_sum}")
-    coloring = _hub_coloring(n, spec.hub_size, spec.interior_colors, arrangement)
+    coloring = _hub_coloring(n, forest.half_sum - 2,
+                             1 + epsilon_for_forest(forest), arrangement)
     _check_count(coloring.m, ar_linear_forest(n, forest).value,
                  f"forest coloring for {forest} at n={n}")
     _maybe_verify(coloring, forest, verify)

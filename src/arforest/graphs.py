@@ -303,6 +303,8 @@ class EdgeColoring:
             n, m = int(header[0]), int(header[1])
         except ValueError:
             raise GraphFormatError("header must be two integers", 0)
+        if n < 1:
+            raise GraphFormatError("coloring needs n >= 1", 0)
         offset = len(lines[0])
         color_of: dict[Edge, int] = {}
         for line in lines[1:]:
@@ -324,11 +326,17 @@ class EdgeColoring:
                     raise GraphFormatError(f"color {c} outside 0..{m-1}", offset)
                 color_of[(u, v)] = c
             offset += len(line)
-        coloring = cls(n, color_of)
-        if coloring.m != m:
+        # checked before the constructor, whose edge list grows as n^2
+        if len(color_of) != n * (n - 1) // 2:
             raise GraphFormatError(
-                f"header claims {m} colors but {coloring.m} are present", 0)
-        return coloring
+                f"K_{n} needs {n * (n - 1) // 2} edge lines but "
+                f"{len(color_of)} were given", offset)
+        # every color lies in 0..m-1, so m distinct colors are dense
+        present = len(set(color_of.values()))
+        if present != m:
+            raise GraphFormatError(
+                f"header claims {m} colors but {present} are present", 0)
+        return cls(n, color_of)
 
 
 class _ColorView(Mapping):

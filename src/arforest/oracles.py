@@ -370,8 +370,13 @@ def _run_parallel(problem_cls: type, n: int, parts: tuple[int, ...],
     prune harder; a stale bound is safe, only less effective.  Each task is
     also granted nodes reserved from nodes_left and returns the unused part
     when it finishes, so all tasks together visit at most nodes_left nodes.
-    Returns the task results and whether every prefix got a task.
+    Returns the task results and whether every prefix got a task.  The pool
+    holds at most one worker per prefix, because a forked pool starts all
+    its workers at the first submit.
     """
+    workers = min(workers, len(prefixes))
+    if not workers:
+        return [], True
     # imported here because the process pool brings in multiprocessing,
     # pickle and socket, about 2 MiB resident that sequential runs never use
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait

@@ -11,8 +11,13 @@ first, extending one endpoint at a time.  Two symmetry rules keep it from
 duplicating work without losing witnesses: a completed path must start at
 its smaller endpoint, and equal-length parts are forced into increasing
 order of their smallest host vertex.  A trailing block of 2-vertex parts
-first gets a cheap greedy matching attempt before the full backtracking
-kicks in.
+needs no matching pass of its own: a greedy matching (the lowest free
+vertex takes its lowest free neighbour whose color is unused, part by part)
+is exactly the first leaf the backtracker reaches, since that neighbour is
+above the lowest free vertex and each greedy edge starts above the last.
+Inside backtracking, a greedy edge below the previous equal part's smallest
+vertex cannot succeed either, because the branch that starts there was
+already searched exhaustively.
 
 An anchored search must use a given edge uv.  For each distinct part
 length t and each split of the other t - 2 vertices into left and right, it
@@ -29,7 +34,7 @@ from math import prod
 from typing import Iterator, Optional
 
 from .graphs import (Edge, EdgeColoring, Embedding, Graph, LinearForest,
-                     complete_graph, common_neighborhood, norm_edge)
+                     common_neighborhood, norm_edge)
 
 
 class RecombinationError(ValueError):
@@ -56,7 +61,7 @@ def _search_forest(
         return None
     out: list[tuple[int, ...]] = []
     if anchor is None:
-        return out if _place(n, adj, col, parts, 0, 0, 0, -1, out) else None
+        return out if _path(n, adj, col, parts, 0, [], 0, 0, -1, out) else None
     u, v = anchor
     if not adj[u] >> v & 1:
         return None
@@ -75,48 +80,6 @@ def _search_forest(
     return None
 
 
-def _place(n: int, adj, col, parts: tuple[int, ...], pi: int, mask: int,
-           used: int, prev_min: int, out: list) -> bool:
-    """Place parts[pi:] outside the vertices in mask and the colors in used,
-    appending one vertex sequence per part to out; prev_min is the smallest
-    vertex of part pi - 1."""
-    if pi == len(parts):
-        return True
-    if parts[pi] == 2 and _matching(n, adj, col, len(parts) - pi, mask, used,
-                                    out):
-        return True
-    return _path(n, adj, col, parts, pi, [], mask, used, prev_min, out)
-
-
-def _matching(n: int, adj, col, k: int, mask: int, used: int,
-              out: list) -> bool:
-    """Greedy try at k disjoint edges: the lowest free vertex takes its first
-    free neighbour whose edge color is unused."""
-    avail = ((1 << n) - 1) & ~mask
-    pairs = []
-    for _ in range(k):
-        if not avail:
-            return False
-        u = (avail & -avail).bit_length() - 1
-        cand = adj[u] & avail
-        row = None if col is None else col[u]
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            if row is not None:
-                bit = 1 << row[v]
-                if used & bit:
-                    continue
-                used |= bit
-            break
-        else:
-            return False
-        pairs.append((u, v))
-        avail &= ~(1 << u | 1 << v)
-    out.extend(pairs)
-    return True
-
-
 def _path(n: int, adj, col, parts: tuple[int, ...], pi: int, seq: list[int],
           mask: int, used: int, prev_min: int, out: list) -> bool:
     """Grow seq into part pi one vertex at a time from its free end, then
@@ -129,7 +92,8 @@ def _path(n: int, adj, col, parts: tuple[int, ...], pi: int, seq: list[int],
         if pi and parts[pi - 1] == t and mn < prev_min:
             return False
         out.append(tuple(seq))
-        if _place(n, adj, col, parts, pi + 1, mask, used, mn, out):
+        if pi + 1 == len(parts) or _path(n, adj, col, parts, pi + 1, [], mask,
+                                         used, mn, out):
             return True
         out.pop()
         return False
@@ -166,7 +130,7 @@ def _through(n: int, adj, col, rest: tuple[int, ...], lseq: list[int],
         seq, right = rseq, right - 1
     else:
         out.append(tuple(lseq[::-1] + rseq))
-        if _place(n, adj, col, rest, 0, mask, used, -1, out):
+        if not rest or _path(n, adj, col, rest, 0, [], mask, used, -1, out):
             return True
         out.pop()
         return False
@@ -194,10 +158,11 @@ def find_rainbow(coloring: EdgeColoring, forest: LinearForest,
     """A rainbow embedding of the forest in the colored K_n, or None."""
     if forest.num_vertices > coloring.n:
         return None
+    n = coloring.n
+    full = (1 << n) - 1
     col = coloring.matrix()
-    paths = _search_forest(coloring.n, complete_graph(coloring.n).adj,
-                           forest.parts, col=col, num_colors=coloring.m,
-                           anchor=anchor)
+    paths = _search_forest(n, [full ^ 1 << v for v in range(n)], forest.parts,
+                           col=col, num_colors=coloring.m, anchor=anchor)
     if paths is None:
         return None
     colors = tuple(col[a][b] for seq in paths

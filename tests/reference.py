@@ -44,10 +44,11 @@ def naive_has_rainbow(coloring: EdgeColoring, forest: LinearForest) -> bool:
 
 
 def naive_has_anchored_rainbow(n: int, color_of: dict, forest: LinearForest,
-                               anchor) -> bool:
+                               anchor=None) -> bool:
     """Permutation-enumeration rainbow detection on a partially colored K_n.
 
-    Only the edges in color_of exist, and the copy must use the anchor edge.
+    Only the edges in color_of exist; with anchor, the copy must use the
+    anchor edge.
     """
     f = forest.num_vertices
     if f > n:
@@ -60,7 +61,7 @@ def naive_has_anchored_rainbow(n: int, color_of: dict, forest: LinearForest,
             pos += t
             used.extend((min(a, b), max(a, b)) for a, b in zip(seq, seq[1:]))
         colors = [color_of.get(e) for e in used]
-        if (anchor in used and None not in colors
+        if ((anchor is None or anchor in used) and None not in colors
                 and len(set(colors)) == len(colors)):
             return True
     return False

@@ -122,6 +122,14 @@ class TestVerifyCommand:
                         "--forest", "2,2")
         assert code == 2 and "error" in out
 
+    def test_truncated_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "short.txt"
+        path.write_text("3 1\n0 1 0\n")
+        code, out = run(capsys, "verify", "--coloring", str(path),
+                        "--forest", "2,2")
+        assert code == 2
+        assert str(path) in out["error"]["message"]
+
 
 class TestSearchCommands:
     def test_search_ar_exact(self, capsys):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 import arforest.constructions as constructions
-from arforest import (ConstructionError, Graph, HubSpec, InteriorArrangement,
+from arforest import (ConstructionError, Graph, InteriorArrangement,
                       LinearForest, ar_linear_forest, ar_path,
                       build_forest_coloring, build_path_coloring,
                       build_turan_extremal, complete_graph, contains_subgraph,
@@ -122,21 +122,6 @@ class TestFormulaAgreement:
             lambda *args: replace(real(*args), value=real(*args).value + 1))
         with pytest.raises(ConstructionError, match="formula gives"):
             build()
-
-
-class TestHubSpec:
-    def test_anti_ramsey_shape(self):
-        spec = HubSpec.for_anti_ramsey(
-            20, LF("5,4"), InteriorArrangement.SINGLE_EDGE_SECOND_COLOR)
-        assert spec.hub_size == 2
-        assert spec.interior_colors == 2
-
-    def test_turan_shape(self):
-        spec = HubSpec.for_turan(20, LF("5,3"))
-        assert spec.hub_size == 2  # half_sum(5,3) - 1
-        assert spec.interior_colors == 2
-        spec2 = HubSpec.for_turan(20, LF("5,4"))
-        assert spec2.interior_colors == 1
 
 
 class TestHubSearch:

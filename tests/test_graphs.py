@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,6 +160,23 @@ class TestEdgeColoring:
         with pytest.raises(GraphFormatError) as err:
             EdgeColoring.from_text(text)
         assert err.value.offset == text.index("1 2 9")
+
+    @pytest.mark.parametrize("text", [
+        "3 1\n0 1 0\n", "0 0\n", "-2 1\n", "2 2\n0 1 1\n",
+    ], ids=["missing-edges", "no-vertices", "negative-n", "unused-color"])
+    def test_text_shape_errors_are_format_errors(self, text):
+        with pytest.raises(GraphFormatError):
+            EdgeColoring.from_text(text)
+
+    def test_oversized_header_fails_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphFormatError, match="edge lines"):
+                EdgeColoring.from_text("100000 1\n0 1 0\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestEmbedding:

@@ -362,6 +362,45 @@ class TestBudgets:
         assert calls > hits
         assert (report.dead_edges > 0) == (oracle is brute_force_ar)
 
+    @pytest.mark.parametrize("oracle,n,spec", [
+        (brute_force_ex, 7, "4,2"), (brute_force_ar, 6, "5"),
+    ])
+    def test_pool_is_capped_at_prefix_count(self, monkeypatch, oracle, n,
+                                            spec):
+        # a forked pool starts all its workers at the first submit, so a
+        # huge parallelism must not reach the pool; this fake starts no
+        # process and runs each task inline
+        import concurrent.futures
+
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+                self.submitted = 0
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                self.submitted += 1
+                fut = concurrent.futures.Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
+        par = oracle(n, LF(spec), replace(FAST, parallelism=10_000))
+        seq = oracle(n, LF(spec), FAST)
+        assert par.exhausted and par.value == seq.value
+        assert verify_witness(par, LF(spec))
+        [pool] = pools
+        assert 0 < pool.max_workers == pool.submitted
+
 
 class TestVerifyWitness:
     def test_accepts_genuine_reports(self):

@@ -29,16 +29,17 @@ SMALL_SPECS = ("2", "3", "4", "5", "6", "2,2", "3,2", "4,2", "3,3", "2,2,2")
 
 @st.composite
 def anchored_partial_colorings(draw):
-    """A partially colored K_n (n <= 6), a colored anchor edge and a linear
-    forest on at most n vertices: the inputs the AR oracle's detector gets."""
+    """A partially colored K_n (n <= 6), a colored anchor edge or, about
+    half the time, None, and a linear forest on at most n vertices: the
+    inputs the AR oracle's detector gets, plus unanchored sparse hosts."""
     n = draw(st.integers(2, 6))
     edges = lex_edges(n)
-    # sparse hosts as often as dense ones; the anchor is the first edge
+    # sparse hosts as often as dense ones; any anchor is the first edge
     colored = draw(st.permutations(edges))[:draw(st.integers(1, len(edges)))]
     colors = draw(st.lists(st.integers(0, 4), min_size=len(colored),
                            max_size=len(colored)))
     color_of = dict(zip(colored, colors))
-    anchor = colored[0]
+    anchor = colored[0] if draw(st.booleans()) else None
     spec = draw(st.sampled_from([s for s in SMALL_SPECS
                                  if LF(s).num_vertices <= n]))
     return n, color_of, LF(spec), anchor
@@ -46,15 +47,16 @@ def anchored_partial_colorings(draw):
 
 @st.composite
 def anchored_graphs(draw):
-    """A graph on n <= 6 vertices, one of its edges as the anchor and a
-    linear forest on at most n vertices: the inputs the EX oracle's detector
-    gets."""
+    """A graph on n <= 6 vertices, one of its edges as the anchor or, about
+    half the time, None, and a linear forest on at most n vertices: the
+    inputs the EX oracle's detector gets, plus unanchored sparse hosts."""
     n = draw(st.integers(2, 6))
     pairs = lex_edges(n)
     edges = draw(st.permutations(pairs))[:draw(st.integers(1, len(pairs)))]
     spec = draw(st.sampled_from([s for s in SMALL_SPECS
                                  if LF(s).num_vertices <= n]))
-    return Graph.from_edges(n, edges), LF(spec), edges[0]
+    anchor = edges[0] if draw(st.booleans()) else None
+    return Graph.from_edges(n, edges), LF(spec), anchor
 
 
 def partial_host(n: int, color_of: dict):
@@ -153,7 +155,7 @@ class TestFindRainbowPartial:
                 forest.num_vertices
             used = [norm_edge(a, b) for seq in paths
                     for a, b in zip(seq, seq[1:])]
-            assert anchor in used
+            assert anchor is None or anchor in used
             colors = [color_of[e] for e in used]
             assert len(set(colors)) == len(colors)
 
@@ -168,7 +170,7 @@ class TestContainsSubgraph:
                                                    forest, anchor)
         if emb is not None:
             assert emb.valid_in(g)
-            assert anchor in emb.used_edges
+            assert anchor is None or anchor in emb.used_edges
 
     def test_hamiltonian_path_of_k4(self):
         assert contains_subgraph(complete_graph(4), LF("4")) is not None
