@@ -19,8 +19,8 @@ from . import formulas
 from .constructions import (VERIFY_LIMIT, ConstructionError,
                             InteriorArrangement, build_forest_coloring,
                             build_path_coloring, build_turan_extremal)
-from .graphs import (EdgeColoring, Graph, GraphFormatError, LinearForest,
-                     graph6_decode, graph6_encode)
+from .graphs import (EdgeColoring, GraphFormatError, LinearForest,
+                     graph6_encode)
 from .oracles import SearchBudget, brute_force_ar, brute_force_ex
 from .rainbow import (contains_subgraph, find_rainbow, representing_graphs,
                       sample_representing)

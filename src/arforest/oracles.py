@@ -40,6 +40,17 @@ seeded with a detector-verified candidate extremal graph so the bound bites
 from the first node.  The bound is the edge count plus the edges left,
 capped by Erdos-Gallai when the forest is a single path.
 
+The include check of edge e_i asks whether e_i closes a copy of the forest
+in the host G of included edges.  For each edge the search keeps the host of
+the last check in which e_i closed none, and answers "no copy" without the
+detector whenever G is a subgraph of it.  This is sound: a copy through e_i
+in G + e_i is also a copy in G' + e_i for every G' containing G, so if
+G' + e_i has none, neither has G + e_i.  Only misses are kept: in
+include-first order a host seen after a hit for e_i is never a supergraph of
+that host, so a hit is never asked again.  For the same reason a test
+reversed by mistake (the record a subgraph of G) never fires; the values
+stay right, and only the detector call count shows it.
+
 In the lex order the edges (u, v), v > u, form row u of the adjacency
 matrix, and in both oracles a lex-leader row rule breaks the symmetry of
 relabelling vertices.  At the start of row u, two vertices a < b, both > u,
@@ -119,6 +130,9 @@ class SearchReport:
     pruned_by_rainbow counts branches dropped by a detector hit, dead_edges
     the detector hits of the AR forward-checking bound (0 for EX); a branch
     whose fresh color the bound already found dead counts only there.
+    detector_calls counts the detector calls of the search itself: the EX
+    include checks that the last forest-free host did not answer, and the
+    AR branch and bound checks, but not the seed or witness checks.
     stop_reason is "exhausted", or the budget that stopped the search:
     "millis" if any part of it ran out of time, else "nodes".
     """
@@ -130,6 +144,7 @@ class SearchReport:
     pruned_by_rainbow: int = 0
     pruned_by_bound: int = 0
     dead_edges: int = 0
+    detector_calls: int = 0
     elapsed_seconds: float = 0.0
     stop_reason: str = "exhausted"
 
@@ -142,6 +157,7 @@ class SearchReport:
                 "pruned_by_rainbow": self.pruned_by_rainbow,
                 "pruned_by_bound": self.pruned_by_bound,
                 "dead_edges": self.dead_edges,
+                "detector_calls": self.detector_calls,
                 "stop_reason": self.stop_reason,
                 "elapsed_ms": round(self.elapsed_seconds * 1000.0, 3),
             },
@@ -149,7 +165,7 @@ class SearchReport:
 
 
 _COUNTERS = ("nodes_visited", "pruned_by_rainbow", "pruned_by_bound",
-             "dead_edges")
+             "dead_edges", "detector_calls")
 
 
 class _BudgetExceeded(Exception):
@@ -195,9 +211,10 @@ class _ArProblem(_Problem):
         u, v = e
         self.col[u][v] = self.col[v][u] = c
 
-    def _closes(self, e: Edge, colors: int) -> bool:
+    def _closes(self, e: Edge, colors: int, stats: dict) -> bool:
         """Whether e, colored and added, closes a rainbow copy of the forest
         among the decided edges; colors counts the colors then in use."""
+        stats["detector_calls"] += 1
         return rainbow._search_forest(self.n, self.adj, self.parts,
                                       col=self.col, num_colors=colors,
                                       anchor=e) is not None
@@ -217,7 +234,7 @@ class _ArProblem(_Problem):
             e = self.edges[j]
             self._flip(e)
             self._paint(e, value)
-            if self._closes(e, value + 1):
+            if self._closes(e, value + 1, stats):
                 dead |= 1 << j
                 stats["dead_edges"] += 1
             else:
@@ -239,7 +256,7 @@ class _ArProblem(_Problem):
                 # the bound has made this very check on edge i
                 if not fresh_dead:
                     yield c, value + 1
-            elif self._closes(e, value):
+            elif self._closes(e, value, stats):
                 stats["pruned_by_rainbow"] += 1
             else:
                 yield c, value
@@ -255,25 +272,46 @@ class _ExProblem(_Problem):
         # only a single path has a cap below the edge count of K_n
         self.cap = (int(erdos_gallai_bound(n, parts[0])) if len(parts) == 1
                     else len(self.edges))
+        # taken is the bitmask of included edges, by lex index; free[i] is
+        # the taken of the last host in which including edge i closed no
+        # copy, -1 (no such host) until the detector has said so once
+        self.taken = 0
+        self.free = [-1] * len(self.edges)
 
     def replay(self, prefix: tuple[bool, ...]) -> int:
-        for e, take in zip(self.edges, prefix):
+        for i, take in enumerate(prefix):
             if take:
-                self._flip(e)
+                self._flip(self.edges[i])
+                self.taken |= 1 << i
         return sum(prefix)
 
     def bound(self, i: int, value: int, best: int, stats: dict) -> int:
         return min(value + len(self.edges) - i, self.cap)
 
+    def _closes(self, i: int, stats: dict) -> bool:
+        """Whether edge i, included, closes a copy of the forest; a host
+        inside the last one where it closed none is answered without the
+        detector (see the module docstring)."""
+        free = self.free[i]
+        if free >= 0 and not self.taken & ~free:
+            return False
+        stats["detector_calls"] += 1
+        if rainbow._search_forest(self.n, self.adj, self.parts,
+                                  anchor=self.edges[i]) is not None:
+            return True
+        self.free[i] = self.taken
+        return False
+
     def branches(self, i: int, value: int, stats: dict):
         e = self.edges[i]
         if not _twin_forbids(self.adj, *e):
             self._flip(e)
-            if rainbow._search_forest(self.n, self.adj, self.parts,
-                                      anchor=e) is not None:
+            if self._closes(i, stats):
                 stats["pruned_by_rainbow"] += 1
             else:
+                self.taken |= 1 << i
                 yield True, value + 1
+                self.taken ^= 1 << i
             self._flip(e)
         yield False, value
 

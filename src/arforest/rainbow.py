@@ -156,13 +156,14 @@ def _through(n: int, adj, col, rest: tuple[int, ...], lseq: list[int],
 def find_rainbow(coloring: EdgeColoring, forest: LinearForest,
                  anchor: Optional[Edge] = None) -> Optional[Embedding]:
     """A rainbow embedding of the forest in the colored K_n, or None."""
-    if forest.num_vertices > coloring.n:
+    # every used edge consumes a distinct color
+    if forest.num_vertices > coloring.n or coloring.m < forest.num_edges:
         return None
     n = coloring.n
     full = (1 << n) - 1
     col = coloring.matrix()
     paths = _search_forest(n, [full ^ 1 << v for v in range(n)], forest.parts,
-                           col=col, num_colors=coloring.m, anchor=anchor)
+                           col=col, anchor=anchor)
     if paths is None:
         return None
     colors = tuple(col[a][b] for seq in paths

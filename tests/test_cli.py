@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from arforest import EdgeColoring, LinearForest, build_forest_coloring
+from arforest import EdgeColoring, LinearForest
 from arforest.cli import main
 
 
@@ -138,7 +138,8 @@ class TestSearchCommands:
         assert out["value"] == 2 and out["exhausted"] is True
         assert set(out["stats"]) == {"nodes", "pruned_by_rainbow",
                                      "pruned_by_bound", "dead_edges",
-                                     "stop_reason", "elapsed_ms"}
+                                     "detector_calls", "stop_reason",
+                                     "elapsed_ms"}
 
     def test_search_ex_witness_file(self, capsys, tmp_path):
         wpath = tmp_path / "w.g6"

@@ -1,0 +1,53 @@
+"""Source hygiene: every name a module imports is read in that module."""
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted([*(ROOT / "src" / "arforest").glob("*.py"),
+                  *(ROOT / "tests").glob("*.py")])
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names the source imports and never reads.
+
+    A name is read if it is loaded anywhere in the module or listed in
+    __all__; __future__ imports bind no name anyone reads, so they are
+    skipped.
+    """
+    tree = ast.parse(source)
+    imported: set[str] = set()
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names
+                            if alias.name != "*")
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize("path", SOURCES,
+                         ids=[str(p.relative_to(ROOT)) for p in SOURCES])
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_checker_sees_unused_and_exported_names():
+    source = ("from __future__ import annotations\n"
+              "import os.path\n"
+              "import json as js\n"
+              "from math import pi, tau\n"
+              "from typing import Optional\n"
+              "__all__ = ['tau']\n"
+              "def f(x: Optional[int]) -> float:\n"
+              "    return pi\n")
+    assert unused_imports(source) == ["js", "os"]

@@ -2,8 +2,10 @@ from dataclasses import replace
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from arforest import (EdgeColoring, Graph, LinearForest, SearchBudget,
+from arforest import (EdgeColoring, LinearForest, SearchBudget,
                       SearchReport, ar_linear_forest, brute_force_ar,
                       brute_force_ex, build_forest_coloring, erdos_gallai_bound,
                       ex_linear_forest, find_rainbow, lex_edges,
@@ -303,6 +305,53 @@ class TestBruteForceEx:
         assert report.witness is not None  # seeded incumbent survives
 
 
+@st.composite
+def nested_hosts(draw):
+    """Plain hosts G within G' on n <= 7 vertices, a pair e of vertices and
+    a linear forest on at most 5 vertices."""
+    n = draw(st.integers(2, 7))
+    pairs = lex_edges(n)
+    outer = [e for e in pairs if draw(st.booleans())]
+    inner = [e for e in outer if draw(st.booleans())]
+    e = draw(st.sampled_from(pairs))
+    spec = draw(st.sampled_from(list(forest_specs(min(n, 5), 5))))
+    return n, inner, outer, e, LF(spec).parts
+
+
+class TestIncludeCheckReuse:
+    @settings(max_examples=300, deadline=None)
+    @given(nested_hosts())
+    def test_a_miss_holds_in_every_subhost(self, case):
+        # the premise of the reuse: a copy through e in G + e is a copy in
+        # G' + e, so no copy through e in G' + e means none in G + e
+        n, inner, outer, e, parts = case
+
+        def closes(edges):
+            adj = [0] * n
+            for u, v in {*edges, e}:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            return rainbow._search_forest(n, adj, parts, anchor=e) is not None
+
+        assert closes(outer) or not closes(inner)
+
+    def test_fresh_problem_reuses_nothing(self):
+        # a record of 0 would claim that the empty host closes no copy,
+        # which is false for a single edge
+        problem = _ExProblem(4, LF("2").parts)
+        assert problem.free == [-1] * len(problem.edges)
+        stats = dict.fromkeys(_COUNTERS, 0)
+        assert list(problem.branches(0, 0, stats)) == [(False, 0)]
+        assert stats["detector_calls"] == stats["pruned_by_rainbow"] == 1
+
+    def test_search_pins(self):
+        # 390 include checks without the reuse, 188 with it
+        report = brute_force_ex(7, LF("7"), FAST)
+        assert report.exhausted and report.value == 15
+        assert report.nodes_visited == 779
+        assert report.detector_calls == 188
+
+
 class TestBudgets:
     def test_deadline_is_checked_at_every_node(self):
         report = brute_force_ar(7, LF("4,2"), SearchBudget(max_millis=200))
@@ -343,21 +392,24 @@ class TestBudgets:
         # the search looks the detector up on the rainbow module at each
         # call, so a wrapper sees every call; each hit prunes one branch or,
         # in the AR bound, marks one edge dead (the seed candidates checked
-        # here are all free of the forest)
-        calls = hits = 0
+        # here are all free of the forest); the search's own calls are the
+        # anchored ones, the seed checks are not
+        calls = hits = anchored = 0
         detect = rainbow._search_forest
 
         def counting(*args, **kwargs):
-            nonlocal calls, hits
+            nonlocal calls, hits, anchored
             result = detect(*args, **kwargs)
             calls += 1
             hits += result is not None
+            anchored += kwargs.get("anchor") is not None
             return result
 
         monkeypatch.setattr(rainbow, "_search_forest", counting)
         report = oracle(n, LF(spec), FAST)
         assert report.exhausted
         assert hits == report.pruned_by_rainbow + report.dead_edges
+        assert anchored == report.detector_calls
         assert report.pruned_by_rainbow > 0
         assert calls > hits
         assert (report.dead_edges > 0) == (oracle is brute_force_ar)
@@ -452,7 +504,8 @@ class TestReportShape:
         assert d["value"] == 3 and d["exhausted"] is True
         assert set(d["stats"]) == {"nodes", "pruned_by_rainbow",
                                    "pruned_by_bound", "dead_edges",
-                                   "stop_reason", "elapsed_ms"}
+                                   "detector_calls", "stop_reason",
+                                   "elapsed_ms"}
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):

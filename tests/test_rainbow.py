@@ -104,6 +104,13 @@ class TestFindRainbow:
             assert find_rainbow(c, forest) is None
             assert not naive_has_rainbow(c, forest)
 
+    def test_quick_reject_builds_no_matrix(self, monkeypatch):
+        def matrix(self):
+            raise AssertionError("color matrix built for a quick reject")
+
+        monkeypatch.setattr(EdgeColoring, "matrix", matrix)
+        assert find_rainbow(EdgeColoring.monochromatic(12), LF("2,2")) is None
+
     def test_agrees_with_naive_on_random_colorings(self):
         rng = random.Random(11)
         for _ in range(60):
