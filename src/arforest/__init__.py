@@ -14,7 +14,7 @@ from .formulas import (FormulaResult, OutOfValidityError,
                        erdos_gallai_bound, ex_k_p3, ex_linear_forest)
 from .constructions import (ConstructionError, InteriorArrangement,
                             build_forest_coloring, build_path_coloring,
-                            build_turan_extremal, hub_search)
+                            build_turan_extremal)
 from .rainbow import (RecombinationError, RepresentingGraph,
                       contains_subgraph, find_rainbow, recombine_representing,
                       representing_graphs, sample_representing)
@@ -32,7 +32,6 @@ __all__ = [
     "ar_path", "erdos_gallai_bound", "ex_k_p3", "ex_linear_forest",
     "ConstructionError", "InteriorArrangement",
     "build_forest_coloring", "build_path_coloring", "build_turan_extremal",
-    "hub_search",
     "RecombinationError", "RepresentingGraph", "contains_subgraph",
     "find_rainbow", "recombine_representing",
     "representing_graphs", "sample_representing",

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Optional
 
 from .formulas import (ar_linear_forest, ar_path, epsilon_for_forest,
                        ex_linear_forest)
 from .graphs import (Edge, EdgeColoring, Embedding, Graph, LinearForest,
-                     common_neighborhood, lex_edges)
+                     lex_edges)
 from .rainbow import find_rainbow
 
 VERIFY_LIMIT = 12  # auto-verify colorings up to this host order
@@ -68,38 +68,23 @@ def build_turan_extremal(n: int, forest: LinearForest) -> Graph:
 def _hub_coloring(n: int, hub: int, interior_colors: int,
                   arrangement: InteriorArrangement) -> EdgeColoring:
     """All hub-incident edges rainbow, interior on 1 or 2 further colors."""
-    color_of: dict[Edge, int] = {}
-    fresh = itertools.count()
-    for u, v in lex_edges(hub):
-        color_of[(u, v)] = next(fresh)
-    for u in range(hub):
-        for v in range(hub, n):
-            color_of[(u, v)] = next(fresh)
-    interior = [(u, v) for u in range(hub, n) for v in range(u + 1, n)]
-    if not interior:
+    if n - hub < 2:
         raise ValueError("interior has no edges; host too small")
-    base = next(fresh)
-    if interior_colors == 1:
-        for e in interior:
-            color_of[e] = base
-    elif interior_colors == 2:
-        if len(interior) < 2:
-            raise ValueError("interior needs at least two edges for two colors")
-        second = next(fresh)
-        if arrangement is InteriorArrangement.SINGLE_EDGE_SECOND_COLOR:
-            special = {interior[0]}
-        else:
-            # star split: the second color covers all interior edges at the
-            # first interior vertex
-            pivot = hub
-            special = {e for e in interior if pivot in e}
-            if len(special) == len(interior):
-                special = {interior[0]}
-        for e in interior:
-            color_of[e] = second if e in special else base
-    else:
+    if interior_colors not in (1, 2):
         raise ValueError("interior takes one or two colors")
-    return EdgeColoring(n, color_of)
+    if interior_colors == 2 and n - hub < 3:
+        raise ValueError("interior needs at least two edges for two colors")
+    inner = itertools.count()  # hub-internal edges
+    cross = itertools.count(hub * (hub - 1) // 2)  # hub-to-interior edges
+    base = hub * (hub - 1) // 2 + hub * (n - hub)
+    second = base + interior_colors - 1
+    # the second color takes the first interior edge or, in a star split,
+    # every interior edge at the first interior vertex
+    star = arrangement is InteriorArrangement.MONOCHROMATIC_INTERIOR
+    return EdgeColoring(n, [
+        next(inner) if v < hub else next(cross) if u < hub
+        else second if u == hub and (star or v == hub + 1) else base
+        for u, v in lex_edges(n)])
 
 
 def _maybe_verify(coloring: EdgeColoring, forest: LinearForest,
@@ -160,25 +145,3 @@ def build_forest_coloring(
     _maybe_verify(coloring, forest, verify)
     return coloring
 
-
-def hub_search(g: Graph, planted: Iterable[int],
-               hub_size: int) -> tuple[tuple[int, ...], int]:
-    """Best hub_size-subset of the planted set by outside common-neighborhood size.
-
-    Returns (hub, size of common neighborhood outside the planted set); ties
-    break lexicographically on the sorted vertex list.
-    """
-    planted = set(planted)
-    pool = sorted(planted)
-    for v in pool:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-    if hub_size > len(pool):
-        raise ValueError(f"hub_size={hub_size} exceeds |P|={len(pool)}")
-    best: Optional[tuple[int, ...]] = None
-    best_val = -1
-    for combo in itertools.combinations(pool, hub_size):
-        val = len(common_neighborhood(g, combo) - planted)
-        if val > best_val:
-            best, best_val = combo, val
-    return best, best_val

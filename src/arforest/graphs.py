@@ -190,29 +190,23 @@ def _edge_index(n: int, u: int, v: int) -> int:
 class EdgeColoring:
     """A surjective coloring of the edges of K_n with color ids {0..m-1}.
 
-    colors holds one color per edge of K_n in lex edge order; color_of is a
-    read-only edge -> color view of it.
+    It is built from, and stores, colors: one color per edge of K_n in lex
+    edge order.  color_of is a read-only edge -> color view of it.
     """
 
     __slots__ = ("n", "colors", "m")
 
-    def __init__(self, n: int, color_of: Mapping[Edge, int]):
+    def __init__(self, n: int, colors: Iterable[int]):
         if n < 1:
             raise ValueError("coloring needs n >= 1")
-        edges = lex_edges(n)
-        expected = set(edges)
-        if set(color_of) != expected:
-            missing = expected - set(color_of)
-            extra = set(color_of) - expected
-            raise ValueError(
-                f"coloring must cover K_{n} exactly; "
-                f"missing={sorted(missing)[:3]} extra={sorted(extra)[:3]}")
-        self._init(n, tuple(color_of[e] for e in edges))
-
-    def _init(self, n: int, colors: tuple[int, ...]) -> None:
+        colors = tuple(colors)
+        if len(colors) != n * (n - 1) // 2:
+            raise ValueError(f"K_{n} has {n * (n - 1) // 2} edges but "
+                             f"{len(colors)} colors were given")
         ids = set(colors)
         m = len(ids)
-        if ids != set(range(m)):
+        # m distinct ids inside 0..m-1 are all of 0..m-1
+        if not ids.issubset(range(m)):
             raise ValueError("color ids must be dense in {0..m-1}")
         self.n = n
         self.colors = colors
@@ -253,7 +247,7 @@ class EdgeColoring:
         Colorings equal up to color relabeling compare equal after this.
         """
         relabel: dict[int, int] = {}
-        return EdgeColoring.from_assignment(
+        return EdgeColoring(
             self.n, [relabel.setdefault(c, len(relabel)) for c in self.colors])
 
     def __eq__(self, other) -> bool:
@@ -265,24 +259,16 @@ class EdgeColoring:
 
     @classmethod
     def monochromatic(cls, n: int) -> "EdgeColoring":
-        return cls.from_assignment(n, [0] * (n * (n - 1) // 2))
+        return cls(n, [0] * (n * (n - 1) // 2))
 
     @classmethod
     def all_rainbow(cls, n: int) -> "EdgeColoring":
-        return cls.from_assignment(n, range(n * (n - 1) // 2))
+        return cls(n, range(n * (n - 1) // 2))
 
     @classmethod
     def from_assignment(cls, n: int, colors: Iterable[int]) -> "EdgeColoring":
-        """Build from one color per lex-ordered edge of K_n."""
-        if n < 1:
-            raise ValueError("coloring needs n >= 1")
-        colors = tuple(colors)
-        if len(colors) != n * (n - 1) // 2:
-            raise ValueError(f"K_{n} has {n * (n - 1) // 2} edges but "
-                             f"{len(colors)} colors were given")
-        coloring = cls.__new__(cls)
-        coloring._init(n, colors)
-        return coloring
+        """The same as EdgeColoring(n, colors)."""
+        return cls(n, colors)
 
     def to_text(self) -> str:
         lines = [f"{self.n} {self.m}"]
@@ -292,7 +278,6 @@ class EdgeColoring:
 
     @classmethod
     def from_text(cls, text: str) -> "EdgeColoring":
-        offset = 0
         lines = text.splitlines(keepends=True)
         if not lines:
             raise GraphFormatError("empty coloring file", 0)
@@ -305,8 +290,15 @@ class EdgeColoring:
             raise GraphFormatError("header must be two integers", 0)
         if n < 1:
             raise GraphFormatError("coloring needs n >= 1", 0)
+        ne = n * (n - 1) // 2
+        # a file with fewer lines than K_n has edges is rejected before the
+        # color list, whose size grows as n^2, is allocated
+        if len(lines) - 1 < ne:
+            raise GraphFormatError(
+                f"K_{n} needs {ne} edge lines but {len(lines) - 1} lines "
+                f"follow the header", len(text))
         offset = len(lines[0])
-        color_of: dict[Edge, int] = {}
+        colors = [-1] * ne
         for line in lines[1:]:
             stripped = line.strip()
             if stripped:
@@ -320,23 +312,24 @@ class EdgeColoring:
                 if not (0 <= u < n and 0 <= v < n and u < v):
                     raise GraphFormatError(
                         f"bad edge ({u},{v}) for n={n}", offset)
-                if (u, v) in color_of:
+                i = _edge_index(n, u, v)
+                if colors[i] >= 0:
                     raise GraphFormatError(f"duplicate edge ({u},{v})", offset)
                 if not 0 <= c < m:
                     raise GraphFormatError(f"color {c} outside 0..{m-1}", offset)
-                color_of[(u, v)] = c
+                colors[i] = c
             offset += len(line)
-        # checked before the constructor, whose edge list grows as n^2
-        if len(color_of) != n * (n - 1) // 2:
+        missing = colors.count(-1)
+        if missing:
             raise GraphFormatError(
-                f"K_{n} needs {n * (n - 1) // 2} edge lines but "
-                f"{len(color_of)} were given", offset)
+                f"K_{n} needs {ne} edge lines but {ne - missing} were given",
+                offset)
         # every color lies in 0..m-1, so m distinct colors are dense
-        present = len(set(color_of.values()))
+        present = len(set(colors))
         if present != m:
             raise GraphFormatError(
                 f"header claims {m} colors but {present} are present", 0)
-        return cls(n, color_of)
+        return cls(n, colors)
 
 
 class _ColorView(Mapping):

@@ -132,7 +132,8 @@ class SearchReport:
     whose fresh color the bound already found dead counts only there.
     detector_calls counts the detector calls of the search itself: the EX
     include checks that the last forest-free host did not answer, and the
-    AR branch and bound checks, but not the seed or witness checks.
+    AR branch and bound checks with at least as many colors in use as the
+    forest has edges, but not the seed or witness checks.
     stop_reason is "exhausted", or the budget that stopped the search:
     "millis" if any part of it ran out of time, else "nodes".
     """
@@ -194,6 +195,7 @@ class _ArProblem(_Problem):
 
     def __init__(self, n: int, parts: tuple[int, ...]):
         super().__init__(n, parts)
+        self.forest_edges = sum(parts) - len(parts)
         # col[u][v] = col[v][u] is the color of (u, v) once decided; the
         # detector reads it only for edges in adj
         self.col = [[0] * n for _ in range(n)]
@@ -214,10 +216,12 @@ class _ArProblem(_Problem):
     def _closes(self, e: Edge, colors: int, stats: dict) -> bool:
         """Whether e, colored and added, closes a rainbow copy of the forest
         among the decided edges; colors counts the colors then in use."""
+        # every edge of a rainbow copy has a color of its own
+        if colors < self.forest_edges:
+            return False
         stats["detector_calls"] += 1
         return rainbow._search_forest(self.n, self.adj, self.parts,
-                                      col=self.col, num_colors=colors,
-                                      anchor=e) is not None
+                                      col=self.col, anchor=e) is not None
 
     def bound(self, i: int, value: int, best: int, stats: dict) -> int:
         """Colors used plus alive edges (see the module docstring), or the
@@ -395,6 +399,10 @@ def _dfs(problem_cls: type, n: int, parts: tuple[int, ...], prefix: tuple,
         stop_reason = "exhausted"
     except _BudgetExceeded as exc:
         stop_reason = exc.args[0]
+    except RecursionError:
+        # rec nests one call per edge
+        raise ValueError(f"search too deep for Python's stack: n={n} has "
+                         f"{me} edges") from None
     return {"best": best, "path": found, "stop_reason": stop_reason,
             "frontier": frontier, **stats}
 
@@ -503,8 +511,7 @@ def brute_force_ar(n: int, forest: LinearForest,
     seed = _seed_coloring(n, forest)
     report, path = _search(_ArProblem, n, forest,
                            0 if seed is None else seed.m, budget, start)
-    report.witness = seed if path is None else EdgeColoring.from_assignment(
-        n, path)
+    report.witness = seed if path is None else EdgeColoring(n, path)
     return report
 
 
@@ -532,10 +539,10 @@ def _seed_extremal(n: int, forest: LinearForest) -> Graph:
             n, [(u, v) for u in range(f - 1) for v in range(u + 1, f - 1)]))
     if forest.parts[0] - 1 >= 1:
         candidates.append(_clique_blocks(n, forest.parts[0] - 1))
-    if forest.k >= 2 and any(t != 3 for t in forest.parts):
-        hub = forest.half_sum - 1
-        if n >= max(f, hub + 2):
-            candidates.append(build_turan_extremal(n, forest))
+    try:
+        candidates.append(build_turan_extremal(n, forest))
+    except ValueError:
+        pass
     best = Graph(n, tuple([0] * n))
     for g in candidates:
         if g.edge_count > best.edge_count and contains_subgraph(g, forest) is None:

@@ -46,19 +46,15 @@ def _search_forest(
     adj,
     parts: tuple[int, ...],
     col: Optional[list[list[int]]] = None,
-    num_colors: Optional[int] = None,
     anchor: Optional[Edge] = None,
 ) -> Optional[list[tuple[int, ...]]]:
     """Find a (rainbow, if colored) embedding of the given path parts.
 
     adj holds host adjacency bitmasks; col, when given, is the host's
-    symmetric color matrix and forces all used colors distinct, and
-    num_colors, when given, is the host's color count.  anchor, when given,
-    must appear among the used edges.  Returns one vertex sequence per part.
+    symmetric color matrix and forces all used colors distinct.  anchor,
+    when given, must appear among the used edges.  Returns one vertex
+    sequence per part.
     """
-    # quick reject: every used edge consumes a distinct color
-    if num_colors is not None and num_colors < sum(parts) - len(parts):
-        return None
     out: list[tuple[int, ...]] = []
     if anchor is None:
         return out if _path(n, adj, col, parts, 0, [], 0, 0, -1, out) else None
@@ -153,8 +149,8 @@ def _through(n: int, adj, col, rest: tuple[int, ...], lseq: list[int],
     return False
 
 
-def find_rainbow(coloring: EdgeColoring, forest: LinearForest,
-                 anchor: Optional[Edge] = None) -> Optional[Embedding]:
+def find_rainbow(coloring: EdgeColoring,
+                 forest: LinearForest) -> Optional[Embedding]:
     """A rainbow embedding of the forest in the colored K_n, or None."""
     # every used edge consumes a distinct color
     if forest.num_vertices > coloring.n or coloring.m < forest.num_edges:
@@ -163,7 +159,7 @@ def find_rainbow(coloring: EdgeColoring, forest: LinearForest,
     full = (1 << n) - 1
     col = coloring.matrix()
     paths = _search_forest(n, [full ^ 1 << v for v in range(n)], forest.parts,
-                           col=col, anchor=anchor)
+                           col=col)
     if paths is None:
         return None
     colors = tuple(col[a][b] for seq in paths

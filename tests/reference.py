@@ -89,16 +89,15 @@ def naive_contains(n: int, edge_set: set, forest: LinearForest,
 
 def naive_ar(n: int, forest: LinearForest) -> int:
     """Max colors over all edge partitions of K_n with no rainbow forest."""
-    edges = lex_edges(n)
     best = 0
-    for part in set_partitions(edges):
+    for part in set_partitions(list(range(n * (n - 1) // 2))):
         if len(part) <= best:
             continue  # cannot beat the best found
-        color_of = {}
+        colors = [0] * (n * (n - 1) // 2)
         for cid, block in enumerate(part):
-            for e in block:
-                color_of[e] = cid
-        coloring = EdgeColoring(n, color_of).canonical()
+            for i in block:
+                colors[i] = cid
+        coloring = EdgeColoring(n, colors).canonical()
         if not naive_has_rainbow(coloring, forest):
             best = len(part)
     return best

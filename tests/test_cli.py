@@ -166,6 +166,16 @@ class TestSearchCommands:
         code, out = run(capsys, "search-ar", "--n", "5", "--forest", "2,2")
         assert code == 2 and "error" in out
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_search_too_deep_for_the_stack_is_an_input_error(self, capsys,
+                                                            workers):
+        # the search nests one Python call per edge of K_46, 1,035 in all
+        code, out = run(capsys, "search-ex", "--n", "46", "--forest", "2,2",
+                        "--workers", workers)
+        assert code == 2
+        assert out["error"]["type"] == "ValueError"
+        assert "n=46 has 1035 edges" in out["error"]["message"]
+
     def test_golden_stability_outside_stats(self, capsys):
         code1, out1 = run(capsys, "search-ar", "--n", "5", "--forest", "2,2")
         code2, out2 = run(capsys, "search-ar", "--n", "5", "--forest", "2,2")
@@ -177,7 +187,7 @@ class TestRepresentingCommand:
     def _coloring_file(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text(
-            EdgeColoring.from_assignment(4, [0, 0, 1, 1, 2, 2]).to_text())
+            EdgeColoring(4, [0, 0, 1, 1, 2, 2]).to_text())
         return path
 
     def test_enumeration(self, capsys, tmp_path):

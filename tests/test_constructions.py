@@ -1,14 +1,13 @@
-import random
 from dataclasses import replace
 
 import pytest
 
 import arforest.constructions as constructions
-from arforest import (ConstructionError, Graph, InteriorArrangement,
-                      LinearForest, ar_linear_forest, ar_path,
-                      build_forest_coloring, build_path_coloring,
-                      build_turan_extremal, complete_graph, contains_subgraph,
-                      ex_linear_forest, find_rainbow, hub_search)
+from arforest import (ConstructionError, InteriorArrangement, LinearForest,
+                      ar_linear_forest, ar_path, build_forest_coloring,
+                      build_path_coloring, build_turan_extremal,
+                      contains_subgraph, ex_linear_forest, find_rainbow,
+                      lex_edges)
 
 LF = LinearForest.parse
 
@@ -107,6 +106,37 @@ class TestForestColoring:
             build_forest_coloring(8, LF("4,2"))  # needs n >= f+s = 9
 
 
+def coloring_text(n: int, colors: list[int]) -> str:
+    """The coloring file of K_n with the given colors in lex edge order."""
+    return f"{n} {len(set(colors))}\n" + "".join(
+        f"{u} {v} {c}\n" for (u, v), c in zip(lex_edges(n), colors))
+
+
+class TestPinnedText:
+    # hub colors first, hub-internal then hub-to-interior in lex order,
+    # then the interior base color, then the interior's second color
+    def test_path_coloring(self):
+        assert build_path_coloring(6, 6).to_text() == (
+            "6 7\n0 1 0\n0 2 1\n0 3 2\n0 4 3\n0 5 4\n1 2 6\n1 3 5\n"
+            "1 4 5\n1 5 5\n2 3 5\n2 4 5\n2 5 5\n3 4 5\n3 5 5\n4 5 5\n")
+
+    @pytest.mark.parametrize("arrangement", list(InteriorArrangement))
+    def test_forest_coloring_one_interior_color(self, arrangement):
+        # 4,2 has two even parts: hub {0}, one interior color
+        c = build_forest_coloring(9, LF("4,2"), arrangement)
+        assert c.to_text() == coloring_text(9, list(range(8)) + [8] * 28)
+
+    @pytest.mark.parametrize("arrangement,first_row", [
+        (InteriorArrangement.SINGLE_EDGE_SECOND_COLOR, [1, 0, 0, 0, 0, 0]),
+        (InteriorArrangement.MONOCHROMATIC_INTERIOR, [1] * 6),
+    ])
+    def test_forest_coloring_two_interior_colors(self, arrangement,
+                                                 first_row):
+        # 3,2 has one even part: no hub, two interior colors
+        c = build_forest_coloring(7, LF("3,2"), arrangement)
+        assert c.to_text() == coloring_text(7, first_row + [0] * 15)
+
+
 class TestFormulaAgreement:
     @pytest.mark.parametrize("formula,build", [
         ("ex_linear_forest", lambda: build_turan_extremal(10, LF("4,2"))),
@@ -123,37 +153,3 @@ class TestFormulaAgreement:
         with pytest.raises(ConstructionError, match="formula gives"):
             build()
 
-
-class TestHubSearch:
-    def test_star_prefers_center(self):
-        star = Graph.from_edges(8, [(0, i) for i in range(1, 8)])
-        hub, size = hub_search(star, {0, 1}, 1)
-        assert hub == (0,)
-        assert size == 6
-
-    def test_complete_graph_tie_breaks_lexicographically(self):
-        hub, size = hub_search(complete_graph(6), {0, 1, 2, 3}, 2)
-        assert hub == (0, 1)
-        assert size == 2
-
-    def test_equivariant_under_relabeling(self):
-        rng = random.Random(13)
-        from arforest import lex_edges
-        for _ in range(20):
-            n = 8
-            edges = [e for e in lex_edges(n) if rng.random() < 0.4]
-            g = Graph.from_edges(n, edges)
-            perm = list(range(n))
-            rng.shuffle(perm)
-            g2 = Graph.from_edges(
-                n, [(perm[u], perm[v]) for u, v in edges])
-            planted = {0, 1, 2, 3}
-            _, size1 = hub_search(g, planted, 2)
-            _, size2 = hub_search(g2, {perm[v] for v in planted}, 2)
-            assert size1 == size2
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            hub_search(complete_graph(4), {0, 9}, 1)
-        with pytest.raises(ValueError):
-            hub_search(complete_graph(4), {0}, 2)

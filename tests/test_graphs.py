@@ -98,23 +98,23 @@ class TestLinearForest:
 
 class TestEdgeColoring:
     def test_dense_ids_required(self):
-        bad = {e: 0 for e in lex_edges(3)}
-        bad[(0, 1)] = 2  # gap at id 1
-        with pytest.raises(ValueError):
-            EdgeColoring(3, bad)
+        with pytest.raises(ValueError, match="dense"):
+            EdgeColoring(3, (2, 0, 0))  # gap at id 1
 
     def test_must_cover_all_pairs(self):
-        with pytest.raises(ValueError):
-            EdgeColoring(3, {(0, 1): 0, (0, 2): 0})
+        # one color per edge of K_3, no fewer and no more
+        for colors in ((0, 0), (0, 0, 0, 0)):
+            with pytest.raises(ValueError, match="K_3 has 3 edges"):
+                EdgeColoring(3, colors)
 
     def test_surjectivity_invariant(self):
-        c = EdgeColoring.from_assignment(4, [0, 1, 2, 0, 1, 3])
+        c = EdgeColoring(4, [0, 1, 2, 0, 1, 3])
         assert c.m == 4
         assert max(c.color_of.values()) + 1 == c.m
 
     def test_color_rejects_bad_endpoints(self):
         # K_4's lex edges: 01 02 03 12 13 23
-        c = EdgeColoring.from_assignment(4, [0, 1, 2, 0, 1, 3])
+        c = EdgeColoring(4, [0, 1, 2, 0, 1, 3])
         assert c.color(2, 1) == c.color(1, 2) == 0
         assert c.color(3, 2) == 3
         for u, v in [(-1, 2), (0, 4), (2, -1), (4, 5)]:
@@ -132,7 +132,7 @@ class TestEdgeColoring:
 
     def test_color_of_is_a_read_only_view(self):
         assign = [0, 1, 2, 0, 1, 3]
-        c = EdgeColoring.from_assignment(4, assign)
+        c = EdgeColoring(4, assign)
         assert c.colors == tuple(assign)
         assert dict(c.color_of) == dict(zip(lex_edges(4), assign))
         assert (1, 0) not in c.color_of and (0, 4) not in c.color_of
@@ -141,16 +141,16 @@ class TestEdgeColoring:
         with pytest.raises(TypeError):
             c.color_of[(0, 1)] = 1
         assert c.to_text() == "4 4\n0 1 0\n0 2 1\n0 3 2\n1 2 0\n1 3 1\n2 3 3\n"
-        assert EdgeColoring(4, dict(c.color_of)) == c
+        assert EdgeColoring(4, c.color_of.values()) == c
 
     def test_canonical_identifies_relabelings(self):
-        c1 = EdgeColoring.from_assignment(4, [0, 1, 1, 0, 2, 2])
-        c2 = EdgeColoring.from_assignment(4, [2, 0, 0, 2, 1, 1])
+        c1 = EdgeColoring(4, [0, 1, 1, 0, 2, 2])
+        c2 = EdgeColoring(4, [2, 0, 0, 2, 1, 1])
         assert c1 != c2
         assert c1.canonical() == c2.canonical()
 
     def test_text_roundtrip(self):
-        c = EdgeColoring.from_assignment(4, [0, 1, 2, 0, 1, 3])
+        c = EdgeColoring(4, [0, 1, 2, 0, 1, 3])
         assert EdgeColoring.from_text(c.to_text()) == c
 
     def test_text_errors_carry_offsets(self):
@@ -161,9 +161,24 @@ class TestEdgeColoring:
             EdgeColoring.from_text(text)
         assert err.value.offset == text.index("1 2 9")
 
+    @pytest.mark.parametrize("bad", [
+        "0 1 0", "0 3 0", "-1 2 0", "2 1 0", "1 1 0", "0 2", "0 2 0 0",
+        "0 x 0", "0 2 0.5",
+    ], ids=["duplicate-edge", "out-of-range", "negative-vertex", "u-above-v",
+            "self-loop", "two-tokens", "four-tokens", "non-integer",
+            "non-integer-color"])
+    def test_edge_line_errors_carry_their_line_offset(self, bad):
+        # the bad line takes the place of edge 02 of a valid K_3 file
+        text = f"3 1\n0 1 0\n{bad}\n1 2 0\n"
+        with pytest.raises(GraphFormatError) as err:
+            EdgeColoring.from_text(text)
+        assert err.value.offset == len("3 1\n0 1 0\n")
+
     @pytest.mark.parametrize("text", [
-        "3 1\n0 1 0\n", "0 0\n", "-2 1\n", "2 2\n0 1 1\n",
-    ], ids=["missing-edges", "no-vertices", "negative-n", "unused-color"])
+        "3 1\n0 1 0\n", "3 1\n0 1 0\n\n0 2 0\n", "0 0\n", "-2 1\n",
+        "2 2\n0 1 1\n",
+    ], ids=["missing-edges", "blank-line-for-an-edge", "no-vertices",
+            "negative-n", "unused-color"])
     def test_text_shape_errors_are_format_errors(self, text):
         with pytest.raises(GraphFormatError):
             EdgeColoring.from_text(text)

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+import arforest
+
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted([*(ROOT / "src" / "arforest").glob("*.py"),
                   *(ROOT / "tests").glob("*.py")])
@@ -51,3 +53,8 @@ def test_checker_sees_unused_and_exported_names():
               "def f(x: Optional[int]) -> float:\n"
               "    return pi\n")
     assert unused_imports(source) == ["js", "os"]
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in arforest.__all__
+            if not hasattr(arforest, name)] == []

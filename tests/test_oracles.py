@@ -51,11 +51,13 @@ def frontier(problem_cls, n: int, spec: str, depth: int) -> list:
 
 def rg_colorings(n: int):
     """Every coloring of K_n's edges, as a restricted-growth string."""
-    edges = lex_edges(n)
-    for part in set_partitions(edges):
-        coloring = EdgeColoring(n, {e: cid for cid, block in enumerate(part)
-                                    for e in block}).canonical()
-        yield coloring.colors
+    ne = len(lex_edges(n))
+    for part in set_partitions(list(range(ne))):
+        colors = [0] * ne
+        for cid, block in enumerate(part):
+            for i in block:
+                colors[i] = cid
+        yield EdgeColoring(n, colors).canonical().colors
 
 
 def coloring_class(n: int, assign: tuple) -> tuple:
@@ -123,7 +125,7 @@ class TestBruteForceAr:
                 seen_max = max(seen_max, c)
         free = {assign for assign in rg_colorings(n)
                 if not naive_has_rainbow(
-                    EdgeColoring.from_assignment(n, assign), forest)}
+                    EdgeColoring(n, assign), forest)}
         assert set(leaves) < free
         assert ({coloring_class(n, a) for a in leaves}
                 == {coloring_class(n, a) for a in free})

@@ -21,7 +21,7 @@ def random_coloring(rng: random.Random, n: int) -> EdgeColoring:
     # force surjectivity, then shuffle over the edge order
     assign = list(range(m)) + [rng.randrange(m) for _ in range(ne - m)]
     rng.shuffle(assign)
-    return EdgeColoring.from_assignment(n, assign).canonical()
+    return EdgeColoring(n, assign).canonical()
 
 
 SMALL_SPECS = ("2", "3", "4", "5", "6", "2,2", "3,2", "4,2", "3,3", "2,2,2")
@@ -100,7 +100,7 @@ class TestFindRainbow:
             m = rng.randint(1, forest.num_edges - 1)
             assign = list(range(m)) + [rng.randrange(m) for _ in range(ne - m)]
             rng.shuffle(assign)
-            c = EdgeColoring.from_assignment(n, assign).canonical()
+            c = EdgeColoring(n, assign).canonical()
             assert find_rainbow(c, forest) is None
             assert not naive_has_rainbow(c, forest)
 
@@ -126,8 +126,7 @@ class TestFindRainbow:
             c = random_coloring(rng, 6)
             perm = list(range(c.m))
             rng.shuffle(perm)
-            permuted = EdgeColoring(
-                c.n, {e: perm[cid] for e, cid in c.color_of.items()})
+            permuted = EdgeColoring(c.n, [perm[cid] for cid in c.colors])
             for spec in ("2,2", "3,2"):
                 assert (find_rainbow(c, LF(spec)) is None) == \
                     (find_rainbow(permuted, LF(spec)) is None)
@@ -138,9 +137,11 @@ class TestFindRainbow:
             c = random_coloring(rng, 6)
             vperm = list(range(c.n))
             rng.shuffle(vperm)
-            moved = EdgeColoring(c.n, {
-                tuple(sorted((vperm[u], vperm[v]))): cid
-                for (u, v), cid in c.color_of.items()}).canonical()
+            # the edge that lands on lex edge (u, v) is (vinv[u], vinv[v])
+            vinv = sorted(range(c.n), key=vperm.__getitem__)
+            moved = EdgeColoring(c.n, [
+                c.color(vinv[u], vinv[v])
+                for u, v in lex_edges(c.n)]).canonical()
             for spec in ("2,2", "3,2"):
                 assert (find_rainbow(c, LF(spec)) is None) == \
                     (find_rainbow(moved, LF(spec)) is None)
@@ -207,7 +208,7 @@ class TestContainsSubgraph:
 
 class TestRepresentingGraphs:
     def test_total_count_product(self):
-        c = EdgeColoring.from_assignment(4, [0, 0, 1, 1, 1, 0])
+        c = EdgeColoring(4, [0, 0, 1, 1, 1, 0])
         enum = representing_graphs(c, 100)
         assert enum.total_count == 9
         reps = list(enum)
@@ -234,7 +235,7 @@ class TestRepresentingGraphs:
         assert enum.truncated
 
     def test_each_member_valid(self):
-        c = EdgeColoring.from_assignment(4, [0, 1, 0, 1, 2, 2])
+        c = EdgeColoring(4, [0, 1, 0, 1, 2, 2])
         for rep in representing_graphs(c, 100):
             for cid, e in enumerate(rep.chosen):
                 assert c.color_of[e] == cid
@@ -247,13 +248,13 @@ class TestSampleRepresenting:
         assert sample_representing(c, 42).graph == complete_graph(5)
 
     def test_deterministic(self):
-        c = EdgeColoring.from_assignment(4, [0, 0, 1, 1, 2, 2])
+        c = EdgeColoring(4, [0, 0, 1, 1, 2, 2])
         assert sample_representing(c, 3) == sample_representing(c, 3)
 
     def test_seed_sweep_varies_both_classes(self):
         # two classes of size 2 on K_4's first four edges is impossible;
         # use a 4-vertex coloring with classes {2, 2, 2}
-        c = EdgeColoring.from_assignment(4, [0, 0, 1, 1, 2, 2])
+        c = EdgeColoring(4, [0, 0, 1, 1, 2, 2])
         firsts = {sample_representing(c, s).chosen[0] for s in range(16)}
         seconds = {sample_representing(c, s).chosen[1] for s in range(16)}
         assert len(firsts) == 2 and len(seconds) == 2
