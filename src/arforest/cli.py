@@ -138,6 +138,8 @@ def cmd_construct(args) -> int:
     n = args.n
     sidecar: dict = {"family": args.family, "n": n, "forest": None,
                      "colors": None, "verified": False}
+    if args.family in ("turan", "forest") and args.forest is None:
+        raise UsageError(f"{args.family} family needs --forest")
     if args.family == "turan":
         forest = _parse_forest(args.forest)
         g = build_turan_extremal(n, forest)

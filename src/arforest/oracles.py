@@ -11,8 +11,8 @@ a node whose bound cannot beat the incumbent is pruned.
 
 brute_force_ar decides one color per edge.  Colorings are enumerated as
 restricted-growth strings, which kills color-relabeling symmetry exactly;
-the fresh color is tried first.  It is seeded with a detector-verified hub
-coloring where build_path_coloring or build_forest_coloring applies.
+the fresh color is tried first.  It starts from 0 colors, so its witness
+is always the search's own best leaf.
 
 The AR bound is forward checking.  At a node with the edges before e_i
 decided and c colors used, call a remaining edge e (e_i or later) dead if
@@ -36,8 +36,9 @@ Simonovits and Sos (1975): the first edges of the new colors pick one edge
 per new color, and each of them must be alive.
 
 brute_force_ex decides include or exclude per edge, include first, and is
-seeded with a detector-verified candidate extremal graph so the bound bites
-from the first node.  The bound is the edge count plus the edges left,
+seeded with a graph that is free of the forest because it has too few
+vertices (see _seed_extremal), so the bound bites from the first node
+without a detector call.  The bound is the edge count plus the edges left,
 capped by Erdos-Gallai when the forest is a single path.
 
 The include check of edge e_i asks whether e_i closes a copy of the forest
@@ -102,8 +103,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from . import rainbow
-from .constructions import (ConstructionError, build_forest_coloring,
-                            build_path_coloring, build_turan_extremal)
 from .formulas import erdos_gallai_bound
 from .graphs import (Edge, EdgeColoring, Graph, LinearForest, complete_graph,
                      lex_edges)
@@ -133,7 +132,7 @@ class SearchReport:
     detector_calls counts the detector calls of the search itself: the EX
     include checks that the last forest-free host did not answer, and the
     AR branch and bound checks with at least as many colors in use as the
-    forest has edges, but not the seed or witness checks.
+    forest has edges.  An oracle makes no other detector call.
     stop_reason is "exhausted", or the budget that stopped the search:
     "millis" if any part of it ran out of time, else "nodes".
     """
@@ -488,66 +487,35 @@ def _search(problem_cls: type, n: int, forest: LinearForest, best: int,
     return report, path
 
 
-def _seed_coloring(n: int, forest: LinearForest) -> Optional[EdgeColoring]:
-    """The hub coloring for (n, forest) if it exists and the detector finds
-    no rainbow copy in it, used as the incumbent; else None."""
-    try:
-        if forest.k == 1:
-            coloring = build_path_coloring(n, forest.parts[0], verify=False)
-        else:
-            coloring = build_forest_coloring(n, forest, verify=False)
-    except (ValueError, ConstructionError):
-        return None
-    return coloring if find_rainbow(coloring, forest) is None else None
-
-
 def brute_force_ar(n: int, forest: LinearForest,
                    budget: Optional[SearchBudget] = None) -> SearchReport:
     """Exact max color count of a rainbow-forest-free coloring of K_n."""
     if forest.num_vertices > n:
         raise ValueError(
             f"forest needs {forest.num_vertices} vertices but n={n}")
-    start = time.monotonic()
-    seed = _seed_coloring(n, forest)
-    report, path = _search(_ArProblem, n, forest,
-                           0 if seed is None else seed.m, budget, start)
-    report.witness = seed if path is None else EdgeColoring(n, path)
+    report, path = _search(_ArProblem, n, forest, 0, budget, time.monotonic())
+    if path is not None:
+        report.witness = EdgeColoring(n, path)
     return report
 
 
-def _clique_blocks(n: int, size: int) -> Graph:
-    edges = []
-    v = 0
-    while v < n:
-        block = list(range(v, min(v + size, n)))
-        for i, a in enumerate(block):
-            for b in block[i + 1:]:
-                edges.append((a, b))
-        v += size
-    return Graph.from_edges(n, edges)
-
-
 def _seed_extremal(n: int, forest: LinearForest) -> Graph:
-    """Best detector-verified forest-free candidate, used as the incumbent."""
+    """A forest-free graph on n vertices, used as the incumbent.
+
+    Both candidates are free of the forest because they have too few
+    vertices, so no detector call proves them.  K_{f-1} plus isolated
+    vertices has f - 1 non-isolated vertices, and the forest needs f.
+    Disjoint cliques on parts[0] - 1 vertices each have no component that
+    can hold the largest part.  The larger is returned, K_{f-1} on a tie;
+    with f > n, K_n itself has too few vertices.
+    """
     f = forest.num_vertices
-    candidates: list[Graph] = []
     if f > n:
         return complete_graph(n)
-    if f - 1 >= 1:
-        # clique on f-1 vertices plus isolated vertices
-        candidates.append(Graph.from_edges(
-            n, [(u, v) for u in range(f - 1) for v in range(u + 1, f - 1)]))
-    if forest.parts[0] - 1 >= 1:
-        candidates.append(_clique_blocks(n, forest.parts[0] - 1))
-    try:
-        candidates.append(build_turan_extremal(n, forest))
-    except ValueError:
-        pass
-    best = Graph(n, tuple([0] * n))
-    for g in candidates:
-        if g.edge_count > best.edge_count and contains_subgraph(g, forest) is None:
-            best = g
-    return best
+    size = forest.parts[0] - 1
+    small = lex_edges(f - 1)
+    blocks = [(u, v) for u, v in lex_edges(n) if u // size == v // size]
+    return Graph.from_edges(n, blocks if len(blocks) > len(small) else small)
 
 
 def brute_force_ex(n: int, forest: LinearForest,

@@ -255,6 +255,8 @@ def recombine_representing(
         raise ValueError("set_u must be nonempty")
     if set_u & set_w:
         raise ValueError("set_u and set_w must be disjoint")
+    if s < 0:
+        raise ValueError(f"s must be nonnegative, got {s}")
     if not set_w:
         return rep1
     nbhd_u = common_neighborhood(rep1.graph, set_u)

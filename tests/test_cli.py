@@ -99,6 +99,13 @@ class TestConstructCommand:
                         "--n", "6", "--forest", "4,2")
         assert code == 2 and "error" in out
 
+    @pytest.mark.parametrize("family", ["turan", "forest"])
+    def test_missing_forest_is_usage_error(self, capsys, family):
+        code, out = run(capsys, "construct", "--family", family, "--n", "10")
+        assert code == 2
+        assert out["error"] == {"type": "UsageError",
+                                "message": f"{family} family needs --forest"}
+
 
 class TestVerifyCommand:
     def test_rainbow_found_exits_one(self, capsys, tmp_path):

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is read in that module."""
+"""Source hygiene: every name a module imports is read in that module, and
+the oracles import nothing from the code they check."""
 import ast
 from pathlib import Path
 
@@ -58,3 +59,43 @@ def test_checker_sees_unused_and_exported_names():
 def test_every_exported_name_resolves():
     assert [name for name in arforest.__all__
             if not hasattr(arforest, name)] == []
+
+
+def package_imports(source: str) -> set[str]:
+    """The arforest modules the source imports, by their name in the
+    package."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("arforest."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.partition(".")[0] != "arforest":
+                    continue
+                module = module.partition(".")[2]
+            if module:
+                found.add(module.partition(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_oracles_import_only_what_they_do_not_check():
+    # the oracles are the ground truth for the hub constructions, so they
+    # must not build their answers from them
+    source = (ROOT / "src" / "arforest" / "oracles.py").read_text()
+    assert package_imports(source) <= {"graphs", "formulas", "rainbow"}
+
+
+def test_package_imports_sees_every_form():
+    source = ("from . import rainbow\n"
+              "from .graphs import Graph\n"
+              "from arforest.constructions import build_turan_extremal\n"
+              "from arforest import formulas\n"
+              "import arforest.cli\n"
+              "import os.path\n"
+              "from typing import Optional\n")
+    assert package_imports(source) == {"rainbow", "graphs", "constructions",
+                                       "formulas", "cli"}

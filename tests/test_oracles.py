@@ -1,5 +1,7 @@
+import time
 from dataclasses import replace
 from itertools import permutations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -7,12 +9,12 @@ from hypothesis import strategies as st
 
 from arforest import (EdgeColoring, LinearForest, SearchBudget,
                       SearchReport, ar_linear_forest, brute_force_ar,
-                      brute_force_ex, build_forest_coloring, erdos_gallai_bound,
-                      ex_linear_forest, find_rainbow, lex_edges,
-                      verify_witness)
+                      brute_force_ex, build_forest_coloring,
+                      contains_subgraph, erdos_gallai_bound,
+                      ex_linear_forest, lex_edges, verify_witness)
 from arforest import rainbow
 from arforest.oracles import (_COUNTERS, _ArProblem, _dfs, _ExProblem,
-                              _seed_coloring, _twin_colors, _twin_forbids)
+                              _seed_extremal, _twin_colors, _twin_forbids)
 from reference import (faudree_schelp, naive_ar, naive_ex, naive_has_rainbow,
                        set_partitions)
 
@@ -93,19 +95,6 @@ class TestBruteForceAr:
     @pytest.mark.parametrize("n,spec", AR_NAIVE_FORESTS)
     def test_agrees_with_naive(self, n, spec):
         assert brute_force_ar(n, LF(spec), FAST).value == naive_ar(n, LF(spec))
-
-    @pytest.mark.parametrize("n,spec,colors", [
-        (5, "3", 1), (6, "5", 6), (7, "2,2", 1), (7, "3,2", 2),
-        # no seed: n < f + s, all parts odd, and a single edge
-        (5, "2,2", None), (6, "3,3", None), (4, "2", None),
-    ])
-    def test_seed_is_rainbow_free_and_below_the_value(self, n, spec, colors):
-        # a seed is a lower bound only if it has no rainbow copy
-        seed = _seed_coloring(n, LF(spec))
-        assert (None if seed is None else seed.m) == colors
-        if seed is not None:
-            assert find_rainbow(seed, LF(spec)) is None
-            assert seed.m <= brute_force_ar(n, LF(spec), FAST).value
 
     def test_forest_too_large_rejected(self):
         with pytest.raises(ValueError):
@@ -306,6 +295,20 @@ class TestBruteForceEx:
         assert not report.exhausted
         assert report.witness is not None  # seeded incumbent survives
 
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_seed_is_free_of_the_forest_by_vertex_count(self, n):
+        # the seed is never checked by the detector, so its two arguments
+        # are checked here: K_{f-1} and cliques on parts[0] - 1 vertices
+        for spec in forest_specs(9, 9):
+            forest = LF(spec)
+            f, size = forest.num_vertices, forest.parts[0] - 1
+            seed = _seed_extremal(n, forest)
+            assert contains_subgraph(seed, forest) is None
+            q, r = divmod(n, size)
+            blocks = q * comb(size, 2) + comb(r, 2)
+            assert seed.edge_count == (comb(n, 2) if f > n else
+                                       max(comb(f - 1, 2), blocks))
+
 
 @st.composite
 def nested_hosts(draw):
@@ -360,6 +363,17 @@ class TestBudgets:
         assert not report.exhausted
         assert report.elapsed_seconds < 0.4
 
+    @pytest.mark.parametrize("oracle,n,spec", [
+        (brute_force_ex, 16, "6,5"), (brute_force_ar, 30, "4,2"),
+    ])
+    def test_budget_covers_the_whole_call(self, oracle, n, spec):
+        # nothing before the search escapes the deadline: a detector proof
+        # of a seed would take seconds at these sizes
+        start = time.monotonic()
+        report = oracle(n, LF(spec), SearchBudget(max_millis=100))
+        assert time.monotonic() - start < 1.0
+        assert report.stop_reason == "millis"
+
     @pytest.mark.parametrize("parallelism", [1, 2])
     @pytest.mark.parametrize("oracle,n,spec,max_nodes", [
         (brute_force_ex, 9, "6,2", 5_000),
@@ -393,9 +407,8 @@ class TestBudgets:
                                               spec):
         # the search looks the detector up on the rainbow module at each
         # call, so a wrapper sees every call; each hit prunes one branch or,
-        # in the AR bound, marks one edge dead (the seed candidates checked
-        # here are all free of the forest); the search's own calls are the
-        # anchored ones, the seed checks are not
+        # in the AR bound, marks one edge dead; every call is one of the
+        # search's own anchored ones, as the seed needs no detector
         calls = hits = anchored = 0
         detect = rainbow._search_forest
 
@@ -411,7 +424,7 @@ class TestBudgets:
         report = oracle(n, LF(spec), FAST)
         assert report.exhausted
         assert hits == report.pruned_by_rainbow + report.dead_edges
-        assert anchored == report.detector_calls
+        assert calls == anchored == report.detector_calls
         assert report.pruned_by_rainbow > 0
         assert calls > hits
         assert (report.dead_edges > 0) == (oracle is brute_force_ar)

@@ -294,6 +294,14 @@ class TestRecombination:
         with pytest.raises(RecombinationError):
             recombine_representing(c, {0, 1}, {3}, 3, rep_sparse, rep)
 
+    @pytest.mark.parametrize("set_w", [{3}, set()])
+    def test_negative_s_is_rejected(self, set_w):
+        # sorted(...)[:s] would slice from the end instead of failing
+        c = EdgeColoring.all_rainbow(6)
+        rep = sample_representing(c, 0)
+        with pytest.raises(ValueError, match="s must be nonnegative"):
+            recombine_representing(c, {0, 1}, set_w, -1, rep, rep)
+
     def test_randomized_instances(self):
         done = 0
         seed = 0
