@@ -81,6 +81,14 @@ def _load_coloring(path: str) -> EdgeColoring:
         raise UsageError(f"bad coloring file {path}: {exc}")
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}")
+
+
 def _json_value(x):
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else str(x)
@@ -171,11 +179,9 @@ def cmd_construct(args) -> int:
     else:
         raise UsageError(f"unknown family {args.family!r}")
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(payload)
-        with open(args.out + ".json", "w", encoding="ascii") as fh:
-            json.dump(sidecar, fh, sort_keys=True)
-            fh.write("\n")
+        _write_text(args.out, payload)
+        _write_text(args.out + ".json",
+                    json.dumps(sidecar, sort_keys=True) + "\n")
     _emit(sidecar)
     return EXIT_OK
 
@@ -205,11 +211,10 @@ def cmd_search(args, kind: str) -> int:
     out["n"] = args.n
     out["forest"] = forest.spec_string()
     if args.witness_out and report.witness is not None:
-        with open(args.witness_out, "w", encoding="ascii") as fh:
-            if isinstance(report.witness, EdgeColoring):
-                fh.write(report.witness.to_text())
-            else:
-                fh.write(graph6_encode(report.witness) + "\n")
+        _write_text(args.witness_out,
+                    report.witness.to_text()
+                    if isinstance(report.witness, EdgeColoring)
+                    else graph6_encode(report.witness) + "\n")
         out["witness_file"] = args.witness_out
     _emit(out)
     return EXIT_OK if report.exhausted else EXIT_BUDGET

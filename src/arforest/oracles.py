@@ -1,13 +1,14 @@
 """Exact small-n ground truth for anti-Ramsey and Turan values.
 
 Both oracles run one budgeted branch-and-bound search, _dfs, over the lex
-edge sequence of K_n.  Each oracle supplies a problem object that replays a
-decision prefix, bounds the value any extension of a node can reach, and
-yields the feasible decisions for the next edge one at a time: it applies a
-decision to a shared incremental adjacency, runs the detector anchored at the
-new edge, yields, and then undoes the decision.  A copy of the forest found
-in a prefix survives every extension, so such a decision is dropped at once;
-a node whose bound cannot beat the incumbent is pruned.
+edge sequence of K_n, as one loop over a stack of branch iterators, one per
+open node.  Each oracle supplies a problem object that replays a decision
+prefix, bounds the value any extension of a node can reach, and yields the
+feasible decisions for the next edge one at a time: it applies a decision to
+a shared incremental adjacency, runs the detector anchored at the new edge,
+yields, and then undoes the decision.  A copy of the forest found in a prefix
+survives every extension, so such a decision is dropped at once; a node
+whose bound cannot beat the incumbent is pruned.
 
 brute_force_ar decides one color per edge.  Colorings are enumerated as
 restricted-growth strings, which kills color-relabeling symmetry exactly;
@@ -166,10 +167,6 @@ class SearchReport:
 
 _COUNTERS = ("nodes_visited", "pruned_by_rainbow", "pruned_by_bound",
              "dead_edges", "detector_calls")
-
-
-class _BudgetExceeded(Exception):
-    """Raised with the budget that ran out: "nodes" or "millis"."""
 
 
 class _Problem:
@@ -369,39 +366,37 @@ def _dfs(problem_cls: type, n: int, parts: tuple[int, ...], prefix: tuple,
     stats = dict.fromkeys(_COUNTERS, 0)
     frontier: list[tuple] = []
     found: Optional[tuple] = None
-    clock = time.monotonic
-
-    def rec(i: int, value: int) -> None:
-        nonlocal best, found
+    # one branch iterator per open node, deepest last, each with its path entry
+    stack: list = []
+    i, value = len(prefix), problem.replay(prefix)
+    stop_reason = "exhausted"
+    while True:
         if i == stop:
             frontier.append(tuple(path))
-            return
-        if stats["nodes_visited"] >= max_nodes:
-            raise _BudgetExceeded("nodes")
-        if clock() > deadline:
-            raise _BudgetExceeded("millis")
-        stats["nodes_visited"] += 1
-        if i == me:
-            if value > best:
-                best, found = value, tuple(path)
-            return
-        if problem.bound(i, value, best, stats) <= best:
-            stats["pruned_by_bound"] += 1
-            return
-        for decision, child in problem.branches(i, value, stats):
-            path.append(decision)
-            rec(i + 1, child)
+        elif stats["nodes_visited"] >= max_nodes:
+            stop_reason = "nodes"
+            break
+        elif time.monotonic() > deadline:
+            stop_reason = "millis"
+            break
+        else:
+            stats["nodes_visited"] += 1
+            if i == me:
+                if value > best:
+                    best, found = value, tuple(path)
+            elif problem.bound(i, value, best, stats) <= best:
+                stats["pruned_by_bound"] += 1
+            else:
+                stack.append(problem.branches(i, value, stats))
+                path.append(None)
+        # the next node is the next branch of the deepest open node with one
+        while stack and (branch := next(stack[-1], None)) is None:
+            stack.pop()
             path.pop()
-
-    try:
-        rec(len(prefix), problem.replay(prefix))
-        stop_reason = "exhausted"
-    except _BudgetExceeded as exc:
-        stop_reason = exc.args[0]
-    except RecursionError:
-        # rec nests one call per edge
-        raise ValueError(f"search too deep for Python's stack: n={n} has "
-                         f"{me} edges") from None
+        if not stack:
+            break
+        path[-1], value = branch
+        i = len(path)
     return {"best": best, "path": found, "stop_reason": stop_reason,
             "frontier": frontier, **stats}
 

@@ -94,6 +94,14 @@ class TestConstructCommand:
                         "--n", "10", "--k", "5")
         assert code == 0 and out["colors"] == 10
 
+    def test_unwritable_out_file_is_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "c.txt"
+        code, out = run(capsys, "construct", "--family", "path", "--n", "8",
+                        "--k", "5", "--out", str(out_path))
+        assert code == 2
+        assert out["error"]["type"] == "UsageError"
+        assert out["error"]["message"].startswith(f"cannot write {out_path}")
+
     def test_too_small_host_is_usage_error(self, capsys):
         code, out = run(capsys, "construct", "--family", "forest",
                         "--n", "6", "--forest", "4,2")
@@ -174,14 +182,22 @@ class TestSearchCommands:
         assert code == 2 and "error" in out
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_search_too_deep_for_the_stack_is_an_input_error(self, capsys,
-                                                            workers):
-        # the search nests one Python call per edge of K_46, 1,035 in all
-        code, out = run(capsys, "search-ex", "--n", "46", "--forest", "2,2",
+    def test_search_deeper_than_the_interpreter_stack(self, capsys, workers):
+        # every leaf lies 1,225 decisions deep, one per edge of K_50
+        code, out = run(capsys, "search-ar", "--n", "50", "--forest", "3",
                         "--workers", workers)
+        assert code == 0
+        assert out["value"] == 1 and out["exhausted"] is True
+        if workers == "1":
+            assert out["stats"]["nodes"] == 1226
+
+    def test_unwritable_witness_file_is_usage_error(self, capsys, tmp_path):
+        wpath = tmp_path / "missing" / "w.g6"
+        code, out = run(capsys, "search-ex", "--n", "5", "--forest", "3",
+                        "--witness-out", str(wpath))
         assert code == 2
-        assert out["error"]["type"] == "ValueError"
-        assert "n=46 has 1035 edges" in out["error"]["message"]
+        assert out["error"]["type"] == "UsageError"
+        assert out["error"]["message"].startswith(f"cannot write {wpath}")
 
     def test_golden_stability_outside_stats(self, capsys):
         code1, out1 = run(capsys, "search-ar", "--n", "5", "--forest", "2,2")

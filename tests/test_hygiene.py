@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is read in that module, and
-the oracles import nothing from the code they check."""
+"""Source hygiene: every name a module imports is read in that module, the
+oracles import nothing from the code they check, and their search does not
+recurse."""
 import ast
 from pathlib import Path
 
@@ -99,3 +100,28 @@ def test_package_imports_sees_every_form():
               "from typing import Optional\n")
     assert package_imports(source) == {"rainbow", "graphs", "constructions",
                                        "formulas", "cli"}
+
+
+def self_calls(source: str) -> list[str]:
+    """The functions in the source, nested ones included, that call
+    themselves by name."""
+    return sorted(
+        node.name for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                and call.func.id == node.name for call in ast.walk(node)))
+
+
+def test_oracles_do_not_recurse():
+    # a search nests no Python call per decided edge, so its depth is not
+    # bounded by the interpreter stack
+    source = (ROOT / "src" / "arforest" / "oracles.py").read_text()
+    assert self_calls(source) == []
+
+
+def test_self_calls_sees_nested_functions():
+    # reading a function's own name is not a call
+    source = ("def outer(k):\n"
+              "    def rec(i):\n"
+              "        return rec(i - 1) if i else outer\n")
+    assert self_calls(source) == ["rec"]

@@ -179,6 +179,22 @@ class TestBruteForceAr:
         assert report.value >= coloring.m
         assert report.value == ar_linear_forest(6, forest).value
 
+    def test_search_pins(self):
+        report = brute_force_ar(6, LF("5"), FAST)
+        assert report.exhausted and report.value == 6
+        assert report.nodes_visited == 549
+        assert report.detector_calls == 1507
+        assert report.dead_edges == 1256
+        assert report.pruned_by_rainbow == 48
+        assert report.pruned_by_bound == 343
+
+    def test_search_deeper_than_the_interpreter_stack(self):
+        # K_60 has 1,770 edges and every leaf lies that many decisions deep
+        report = brute_force_ar(60, LF("3"), FAST)
+        assert report.exhausted and report.value == 1
+        assert report.nodes_visited == 1771
+        assert verify_witness(report, LF("3"))
+
     def test_budget_exhaustion_returns_lower_bound(self):
         report = brute_force_ar(6, LF("3,2"), SearchBudget(max_nodes=50))
         assert not report.exhausted
@@ -385,6 +401,8 @@ class TestBudgets:
                                                   parallelism=parallelism))
         assert not report.exhausted
         assert 0 < report.nodes_visited <= max_nodes
+        if parallelism == 1:
+            assert report.nodes_visited == max_nodes
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     @pytest.mark.parametrize("budget,reason", [
