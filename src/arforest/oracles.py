@@ -43,15 +43,18 @@ without a detector call.  The bound is the edge count plus the edges left,
 capped by Erdos-Gallai when the forest is a single path.
 
 The include check of edge e_i asks whether e_i closes a copy of the forest
-in the host G of included edges.  For each edge the search keeps the host of
-the last check in which e_i closed none, and answers "no copy" without the
-detector whenever G is a subgraph of it.  This is sound: a copy through e_i
-in G + e_i is also a copy in G' + e_i for every G' containing G, so if
-G' + e_i has none, neither has G + e_i.  Only misses are kept: in
-include-first order a host seen after a hit for e_i is never a supergraph of
-that host, so a hit is never asked again.  For the same reason a test
-reversed by mistake (the record a subgraph of G) never fires; the values
-stay right, and only the detector call count shows it.
+in the host G of included edges.  The answer is monotone: a copy through e_i
+in G + e_i is also a copy in G' + e_i for every G' containing its edges.  So
+for each edge the search keeps two records of its detector calls: free, the
+host of the last check in which e_i closed no copy, and copy, the edges
+other than e_i of the last copy found through e_i.  A check answers "no
+copy" without the detector when G is a subgraph of free, since a copy in
+G + e_i would also be one in free + e_i, and "copy" when copy is a subgraph
+of G, since that copy is still there.  The host of a hit is a poor record:
+in include-first order a host seen after a hit for e_i is never a supergraph
+of it, but it often still holds the few edges of the copy.  Either subset
+test reversed by mistake hardly ever fires in include-first order, so the
+values do not show it; only the search's counters do.
 
 In the lex order the edges (u, v), v > u, form row u of the adjacency
 matrix, and in both oracles a lex-leader row rule breaks the symmetry of
@@ -101,12 +104,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from itertools import pairwise
+from typing import Optional, Union
 
 from . import rainbow
 from .formulas import erdos_gallai_bound
-from .graphs import (Edge, EdgeColoring, Graph, LinearForest, complete_graph,
-                     lex_edges)
+from .graphs import (Edge, EdgeColoring, Graph, LinearForest, _edge_index,
+                     complete_graph, lex_edges)
 from .rainbow import contains_subgraph, find_rainbow
 
 PARALLEL_EXPAND_LEVELS = 4
@@ -131,9 +135,11 @@ class SearchReport:
     the detector hits of the AR forward-checking bound (0 for EX); a branch
     whose fresh color the bound already found dead counts only there.
     detector_calls counts the detector calls of the search itself: the EX
-    include checks that the last forest-free host did not answer, and the
-    AR branch and bound checks with at least as many colors in use as the
-    forest has edges.  An oracle makes no other detector call.
+    include checks that neither the last forest-free host nor the last copy
+    answered, and the AR branch and bound checks with at least as many
+    colors in use as the forest has edges.  An oracle makes no other
+    detector call.  reused_copies counts the EX include checks answered
+    from the last copy (0 for AR); each is also a rainbow prune.
     stop_reason is "exhausted", or the budget that stopped the search:
     "millis" if any part of it ran out of time, else "nodes".
     """
@@ -146,6 +152,7 @@ class SearchReport:
     pruned_by_bound: int = 0
     dead_edges: int = 0
     detector_calls: int = 0
+    reused_copies: int = 0
     elapsed_seconds: float = 0.0
     stop_reason: str = "exhausted"
 
@@ -159,6 +166,7 @@ class SearchReport:
                 "pruned_by_bound": self.pruned_by_bound,
                 "dead_edges": self.dead_edges,
                 "detector_calls": self.detector_calls,
+                "reused_copies": self.reused_copies,
                 "stop_reason": self.stop_reason,
                 "elapsed_ms": round(self.elapsed_seconds * 1000.0, 3),
             },
@@ -166,7 +174,7 @@ class SearchReport:
 
 
 _COUNTERS = ("nodes_visited", "pruned_by_rainbow", "pruned_by_bound",
-             "dead_edges", "detector_calls")
+             "dead_edges", "detector_calls", "reused_copies")
 
 
 class _Problem:
@@ -274,9 +282,11 @@ class _ExProblem(_Problem):
                     else len(self.edges))
         # taken is the bitmask of included edges, by lex index; free[i] is
         # the taken of the last host in which including edge i closed no
-        # copy, -1 (no such host) until the detector has said so once
+        # copy, and copy[i] the edges but i of the last copy found through
+        # it; each is -1 until the detector has given such an answer once
         self.taken = 0
         self.free = [-1] * len(self.edges)
+        self.copy = [-1] * len(self.edges)
 
     def replay(self, prefix: tuple[bool, ...]) -> int:
         for i, take in enumerate(prefix):
@@ -290,17 +300,25 @@ class _ExProblem(_Problem):
 
     def _closes(self, i: int, stats: dict) -> bool:
         """Whether edge i, included, closes a copy of the forest; a host
-        inside the last one where it closed none is answered without the
-        detector (see the module docstring)."""
-        free = self.free[i]
-        if free >= 0 and not self.taken & ~free:
+        inside the last one where it closed none, or holding the last copy
+        through it, is answered without the detector (see the module
+        docstring)."""
+        taken = self.taken
+        free, copy = self.free[i], self.copy[i]
+        if free >= 0 and not taken & ~free:
             return False
-        stats["detector_calls"] += 1
-        if rainbow._search_forest(self.n, self.adj, self.parts,
-                                  anchor=self.edges[i]) is not None:
+        if copy >= 0 and not copy & ~taken:
+            stats["reused_copies"] += 1
             return True
-        self.free[i] = self.taken
-        return False
+        stats["detector_calls"] += 1
+        paths = rainbow._search_forest(self.n, self.adj, self.parts,
+                                       anchor=self.edges[i])
+        if paths is None:
+            self.free[i] = taken
+            return False
+        self.copy[i] = sum(1 << _edge_index(self.n, *sorted(e))
+                           for seq in paths for e in pairwise(seq)) ^ 1 << i
+        return True
 
     def branches(self, i: int, value: int, stats: dict):
         e = self.edges[i]
@@ -316,17 +334,6 @@ class _ExProblem(_Problem):
         yield False, value
 
 
-def _nearest_twin(u: int, v: int,
-                  key: Callable[[int], object]) -> Optional[int]:
-    """v's nearest earlier twin at row u: the largest a, u < a < v, whose
-    decisions toward rows below u (given by key) equal v's, or None."""
-    k = key(v)
-    for a in range(v - 1, u, -1):
-        if key(a) == k:
-            return a
-    return None
-
-
 def _twin_forbids(adj: list[int], u: int, v: int) -> bool:
     """Whether the EX row rule excludes edge (u, v).
 
@@ -334,8 +341,11 @@ def _twin_forbids(adj: list[int], u: int, v: int) -> bool:
     (u, a) was, a being v's nearest earlier twin.
     """
     low = (1 << u) - 1
-    a = _nearest_twin(u, v, lambda x: adj[x] & low)
-    return a is not None and not adj[u] >> a & 1
+    k = adj[v] & low
+    for a in range(v - 1, u, -1):
+        if adj[a] & low == k:
+            return not adj[u] >> a & 1
+    return False
 
 
 def _twin_colors(col: list[list[int]], u: int, v: int, value: int) -> range:
@@ -345,8 +355,11 @@ def _twin_colors(col: list[list[int]], u: int, v: int, value: int) -> range:
     used so far.  Twins have the same colors toward rows below u; (u, v) may
     take only colors >= that of (u, a), a being v's nearest earlier twin.
     """
-    a = _nearest_twin(u, v, lambda x: col[x][:u])
-    return range(value, -1 if a is None else col[a][u] - 1, -1)
+    k = col[v][:u]
+    for a in range(v - 1, u, -1):
+        if col[a][:u] == k:
+            return range(value, col[a][u] - 1, -1)
+    return range(value, -1, -1)
 
 
 def _dfs(problem_cls: type, n: int, parts: tuple[int, ...], prefix: tuple,

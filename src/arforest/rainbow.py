@@ -20,10 +20,12 @@ vertex cannot succeed either, because the branch that starts there was
 already searched exhaustively.
 
 An anchored search must use a given edge uv.  For each distinct part
-length t and each split of the other t - 2 vertices into left and right, it
-grows the part from u by the left count, then from v by the right count,
-and places the other parts with the same search as above, outside the
-vertices and colors the anchored part took.
+length t it grows the part's left arm from u in one pass, and at each arm
+length L, before growing it further, finishes the part with every right arm
+of t - 2 - L vertices from v.  Every path through uv is one pair of arms, so
+each is tried once, and the left arms are not rebuilt for each split.  The
+other parts are placed with the same search as above, outside the vertices
+and colors the anchored part took.
 """
 from __future__ import annotations
 
@@ -67,12 +69,11 @@ def _search_forest(
         if idx and parts[idx - 1] == t:
             continue  # the same part again
         rest = parts[:idx] + parts[idx + 1:]
-        for left in range(t - 1):
-            if _through(n, adj, col, rest, [u], [v], left, t - 2 - left,
-                        mask, used, out):
-                paths = out[1:]
-                paths.insert(idx, out[0])
-                return paths
+        if _through(n, adj, col, rest, [u], [v], t - 2, True, mask, used,
+                    out):
+            paths = out[1:]
+            paths.insert(idx, out[0])
+            return paths
     return None
 
 
@@ -116,20 +117,24 @@ def _path(n: int, adj, col, parts: tuple[int, ...], pi: int, seq: list[int],
 
 
 def _through(n: int, adj, col, rest: tuple[int, ...], lseq: list[int],
-             rseq: list[int], left: int, right: int, mask: int, used: int,
+             rseq: list[int], spare: int, left: bool, mask: int, used: int,
              out: list) -> bool:
-    """Grow lseq by left more vertices, then rseq by right more, then place
-    the rest parts; the anchored part is lseq reversed followed by rseq."""
-    if left:
-        seq, left = lseq, left - 1
-    elif right:
-        seq, right = rseq, right - 1
-    else:
+    """Add spare more vertices to the arms, then place the rest parts; the
+    anchored part is lseq reversed followed by rseq.  With left, first give
+    them all to rseq, then grow lseq by one and recurse; without, grow rseq.
+    """
+    if left and _through(n, adj, col, rest, lseq, rseq, spare, False, mask,
+                         used, out):
+        return True
+    if not spare:
+        if left:
+            return False
         out.append(tuple(lseq[::-1] + rseq))
         if not rest or _path(n, adj, col, rest, 0, [], mask, used, -1, out):
             return True
         out.pop()
         return False
+    seq = lseq if left else rseq
     end = seq[-1]
     cand = adj[end] & ~mask
     row = None if col is None else col[end]
@@ -142,8 +147,8 @@ def _through(n: int, adj, col, rest: tuple[int, ...], lseq: list[int],
             if used & bit:
                 continue
         seq.append(w)
-        if _through(n, adj, col, rest, lseq, rseq, left, right, mask | 1 << w,
-                    used | bit, out):
+        if _through(n, adj, col, rest, lseq, rseq, spare - 1, left,
+                    mask | 1 << w, used | bit, out):
             return True
         seq.pop()
     return False

@@ -339,38 +339,64 @@ def nested_hosts(draw):
     return n, inner, outer, e, LF(spec).parts
 
 
+def copy_through(n: int, edges: list, e: tuple, parts: tuple):
+    """The edges of the detector's copy of the forest through e in the
+    graph with the given edges plus e, or None."""
+    adj = [0] * n
+    for u, v in {*edges, e}:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    paths = rainbow._search_forest(n, adj, parts, anchor=e)
+    return None if paths is None else {
+        (min(a, b), max(a, b)) for seq in paths for a, b in zip(seq, seq[1:])}
+
+
 class TestIncludeCheckReuse:
     @settings(max_examples=300, deadline=None)
     @given(nested_hosts())
     def test_a_miss_holds_in_every_subhost(self, case):
-        # the premise of the reuse: a copy through e in G + e is a copy in
-        # G' + e, so no copy through e in G' + e means none in G + e
+        # the premise of the free record: a copy through e in G + e is a
+        # copy in G' + e, so no copy through e in G' + e means none in G + e
         n, inner, outer, e, parts = case
+        assert (copy_through(n, outer, e, parts) is not None
+                or copy_through(n, inner, e, parts) is None)
 
-        def closes(edges):
-            adj = [0] * n
-            for u, v in {*edges, e}:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            return rainbow._search_forest(n, adj, parts, anchor=e) is not None
-
-        assert closes(outer) or not closes(inner)
+    @settings(max_examples=300, deadline=None)
+    @given(nested_hosts())
+    def test_a_copy_holds_in_every_host_with_its_edges(self, case):
+        # the premise of the copy record: a copy through e found in G + e
+        # is a copy through e in every G' + e with G' holding its edges
+        n, inner, outer, e, parts = case
+        copy = copy_through(n, outer, e, parts)
+        if copy is not None:
+            assert e in copy
+            other = list(copy - {e})
+            assert copy_through(n, other, e, parts) is not None
+            assert copy_through(n, inner + other, e, parts) is not None
 
     def test_fresh_problem_reuses_nothing(self):
-        # a record of 0 would claim that the empty host closes no copy,
-        # which is false for a single edge
+        # a free record of 0 would claim that the empty host closes no
+        # copy, which is false for a single edge; a copy record of 0 claims
+        # that it closes one, which is true, so it answers the next check
         problem = _ExProblem(4, LF("2").parts)
         assert problem.free == [-1] * len(problem.edges)
+        assert problem.copy == [-1] * len(problem.edges)
         stats = dict.fromkeys(_COUNTERS, 0)
         assert list(problem.branches(0, 0, stats)) == [(False, 0)]
         assert stats["detector_calls"] == stats["pruned_by_rainbow"] == 1
+        assert problem.copy[0] == 0 and stats["reused_copies"] == 0
+        assert list(problem.branches(0, 0, stats)) == [(False, 0)]
+        assert stats["detector_calls"] == 1
+        assert stats["reused_copies"] == 1 and stats["pruned_by_rainbow"] == 2
 
     def test_search_pins(self):
-        # 390 include checks without the reuse, 188 with it
+        # 390 include checks without any reuse, 188 with the free record
+        # alone, 141 with the copy record too, which answers 47
         report = brute_force_ex(7, LF("7"), FAST)
         assert report.exhausted and report.value == 15
         assert report.nodes_visited == 779
-        assert report.detector_calls == 188
+        assert report.detector_calls == 141
+        assert report.reused_copies == 47
 
 
 class TestBudgets:
@@ -424,9 +450,10 @@ class TestBudgets:
     def test_oracles_call_the_module_detector(self, monkeypatch, oracle, n,
                                               spec):
         # the search looks the detector up on the rainbow module at each
-        # call, so a wrapper sees every call; each hit prunes one branch or,
-        # in the AR bound, marks one edge dead; every call is one of the
-        # search's own anchored ones, as the seed needs no detector
+        # call, so a wrapper sees every call; each hit, and each EX check
+        # answered from a kept copy, prunes one branch or, in the AR bound,
+        # marks one edge dead; every call is one of the search's own
+        # anchored ones, as the seed needs no detector
         calls = hits = anchored = 0
         detect = rainbow._search_forest
 
@@ -441,11 +468,13 @@ class TestBudgets:
         monkeypatch.setattr(rainbow, "_search_forest", counting)
         report = oracle(n, LF(spec), FAST)
         assert report.exhausted
-        assert hits == report.pruned_by_rainbow + report.dead_edges
+        assert hits + report.reused_copies == (report.pruned_by_rainbow
+                                               + report.dead_edges)
         assert calls == anchored == report.detector_calls
         assert report.pruned_by_rainbow > 0
         assert calls > hits
         assert (report.dead_edges > 0) == (oracle is brute_force_ar)
+        assert (report.reused_copies > 0) == (oracle is brute_force_ex)
 
     @pytest.mark.parametrize("oracle,n,spec", [
         (brute_force_ex, 7, "4,2"), (brute_force_ar, 6, "5"),
@@ -537,8 +566,8 @@ class TestReportShape:
         assert d["value"] == 3 and d["exhausted"] is True
         assert set(d["stats"]) == {"nodes", "pruned_by_rainbow",
                                    "pruned_by_bound", "dead_edges",
-                                   "detector_calls", "stop_reason",
-                                   "elapsed_ms"}
+                                   "detector_calls", "reused_copies",
+                                   "stop_reason", "elapsed_ms"}
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):

@@ -70,6 +70,38 @@ def partial_host(n: int, color_of: dict):
     return adj, col
 
 
+def check_anchored_rainbow(n: int, color_of: dict, forest: LinearForest,
+                           anchor) -> bool:
+    """Compare the detector on a partially colored K_n with the naive
+    reference, check any copy it returns, and return whether it found one."""
+    adj, col = partial_host(n, color_of)
+    paths = rainbow._search_forest(n, adj, forest.parts, col=col,
+                                   anchor=anchor)
+    assert (paths is not None) == naive_has_anchored_rainbow(
+        n, color_of, forest, anchor)
+    if paths is not None:
+        assert list(map(len, paths)) == list(forest.parts)
+        assert len({v for seq in paths for v in seq}) == forest.num_vertices
+        used = [norm_edge(a, b) for seq in paths
+                for a, b in zip(seq, seq[1:])]
+        assert anchor is None or anchor in used
+        colors = [color_of[e] for e in used]
+        assert len(set(colors)) == len(colors)
+    return paths is not None
+
+
+def check_anchored(g: Graph, forest: LinearForest, anchor) -> bool:
+    """Compare the detector on a plain graph with the naive reference, check
+    any copy it returns, and return whether it found one."""
+    emb = contains_subgraph(g, forest, anchor=anchor)
+    assert (emb is not None) == naive_contains(g.n, set(g.edges()), forest,
+                                               anchor)
+    if emb is not None:
+        assert emb.valid_in(g)
+        assert anchor is None or anchor in emb.used_edges
+    return emb is not None
+
+
 class TestFindRainbow:
     def test_all_rainbow_host(self):
         emb = find_rainbow(EdgeColoring.all_rainbow(6), LF("3,2"))
@@ -151,34 +183,14 @@ class TestFindRainbowPartial:
     @settings(max_examples=300, deadline=None)
     @given(anchored_partial_colorings())
     def test_anchored_agrees_with_naive(self, case):
-        n, color_of, forest, anchor = case
-        adj, col = partial_host(n, color_of)
-        paths = rainbow._search_forest(n, adj, forest.parts, col=col,
-                                       anchor=anchor)
-        assert (paths is not None) == naive_has_anchored_rainbow(
-            n, color_of, forest, anchor)
-        if paths is not None:
-            assert list(map(len, paths)) == list(forest.parts)
-            assert len({v for seq in paths for v in seq}) == \
-                forest.num_vertices
-            used = [norm_edge(a, b) for seq in paths
-                    for a, b in zip(seq, seq[1:])]
-            assert anchor is None or anchor in used
-            colors = [color_of[e] for e in used]
-            assert len(set(colors)) == len(colors)
+        check_anchored_rainbow(*case)
 
 
 class TestContainsSubgraph:
     @settings(max_examples=300, deadline=None)
     @given(anchored_graphs())
     def test_anchored_agrees_with_naive(self, case):
-        g, forest, anchor = case
-        emb = contains_subgraph(g, forest, anchor=anchor)
-        assert (emb is not None) == naive_contains(g.n, set(g.edges()),
-                                                   forest, anchor)
-        if emb is not None:
-            assert emb.valid_in(g)
-            assert anchor is None or anchor in emb.used_edges
+        check_anchored(*case)
 
     def test_hamiltonian_path_of_k4(self):
         assert contains_subgraph(complete_graph(4), LF("4")) is not None
@@ -204,6 +216,33 @@ class TestContainsSubgraph:
             for spec in ("3,2", "4", "2,2"):
                 if contains_subgraph(g_small, LF(spec)) is not None:
                     assert contains_subgraph(g_big, LF(spec)) is not None
+
+
+class TestLongAnchoredArms:
+    """The strategies above stop at n = 6, so no arm grown from an anchor
+    end there has more than 4 vertices; at n = 7 a P7 through an end edge
+    has an arm of 5.  Each forest here has 7 vertices and a part of at
+    least 3, and is anchored at every edge of its host."""
+
+    SPECS = ("7", "5,2", "4,3", "3,2,2")
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_agrees_with_naive_at_every_anchor(self, seed):
+        # a Hamiltonian path plus random chords, so some anchors close a
+        # copy and some do not; the path edges get distinct colors
+        rng = random.Random(seed)
+        order = rng.sample(range(7), 7)
+        path = [norm_edge(a, b) for a, b in zip(order, order[1:])]
+        edges = path + [e for e in lex_edges(7)
+                        if e not in path and rng.random() < 0.25]
+        colors = rng.sample(range(6), 6) + [rng.randrange(6)
+                                            for _ in edges[6:]]
+        g, color_of = Graph.from_edges(7, edges), dict(zip(edges, colors))
+        for spec in self.SPECS:
+            plain = [check_anchored(g, LF(spec), e) for e in edges]
+            colored = [check_anchored_rainbow(7, color_of, LF(spec), e)
+                       for e in edges]
+            assert any(plain) and any(colored) and not all(colored)
 
 
 class TestRepresentingGraphs:
