@@ -1,15 +1,47 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from arforest import EdgeColoring, LinearForest
-from arforest.cli import main
+from arforest.cli import build_parser, main
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+# each formula's flags, in the order its error message names them, and its
+# whole stdout line
+FORMULA_RUNS = {
+    "ar-path": (["--n", "20", "--k", "5"],
+                '{"epsilon": 0, "inputs": {"k": 5, "n": 20}, "name": '
+                '"ar-path", "validity": "n sufficiently large", "value": 20}'),
+    "ar-matching": (["--n", "20", "--t", "4"],
+                    '{"epsilon": null, "inputs": {"n": 20, "t": 4}, "name": '
+                    '"ar-matching", "validity": "n >= 2t+1", "value": 38}'),
+    "ar-main": (["--n", "20", "--forest", "5,4"],
+                '{"epsilon": 1, "inputs": {"forest": "5,4", "n": 20}, '
+                '"name": "ar-main", "validity": "n >= f(5,4), threshold '
+                'unquantified", "value": 39}'),
+    "ar-asymptotic": (["--forest", "5,4"],
+                      '{"epsilon": null, "inputs": {"forest": "5,4"}, '
+                      '"name": "ar-asymptotic", "validity": "coefficient of '
+                      'n, k >= 2", "value": 2}'),
+    "eg-bound": (["--n", "7", "--k", "5"],
+                 '{"epsilon": null, "inputs": {"k": 5, "n": 7}, "name": '
+                 '"eg-bound", "validity": "all n, k >= 1", "value": "21/2"}'),
+    "ex-kp3": (["--n", "21", "--k", "3"],
+               '{"epsilon": null, "inputs": {"k": 3, "n": 21}, "name": '
+               '"ex-kp3", "validity": "n >= 7k", "value": 48}'),
+    "ex-forest": (["--n", "20", "--forest", "5,4"],
+                  '{"epsilon": 0, "inputs": {"forest": "5,4", "n": 20}, '
+                  '"name": "ex-forest", "validity": "n sufficiently large", '
+                  '"value": 54}'),
+}
 
 
 class TestFormulaCommand:
@@ -46,6 +78,25 @@ class TestFormulaCommand:
     def test_missing_arg_is_usage_error(self, capsys):
         code, out = run(capsys, "formula", "--name", "ar-path", "--n", "20")
         assert code == 2 and "error" in out
+
+    @pytest.mark.parametrize("name", sorted(FORMULA_RUNS))
+    def test_every_formula_prints_its_pinned_line(self, capsys, name):
+        flags, line = FORMULA_RUNS[name]
+        assert main(["formula", "--name", name, *flags]) == 0
+        assert capsys.readouterr().out == line + "\n"
+
+    @pytest.mark.parametrize("name,missing", [
+        (name, flag) for name, (flags, _) in sorted(FORMULA_RUNS.items())
+        for flag in flags[::2]])
+    def test_every_formula_names_the_flags_it_needs(self, capsys, name,
+                                                    missing):
+        flags = FORMULA_RUNS[name][0]
+        i = flags.index(missing)
+        assert main(["formula", "--name", name,
+                     *flags[:i], *flags[i + 2:]]) == 2
+        message = f"{name} needs {' and '.join(flags[::2])}"
+        assert capsys.readouterr().out == (
+            '{"error": {"message": "%s", "type": "UsageError"}}\n' % message)
 
 
 class TestConstructCommand:
@@ -237,9 +288,28 @@ class TestRepresentingCommand:
         assert out1 == out2 and len(out1["graphs"]) == 1
 
 
+def readme_commands() -> list[str]:
+    """The arforest command lines of the README's CLI code block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    return [line for line in block.splitlines()
+            if line.startswith("arforest ")]
+
+
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("line", readme_commands())
+    def test_readme_command_parses(self, line):
+        # parsing only: the commands name files the README's own runs write
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])
+
+    def test_readme_lists_every_command(self):
+        commands = {line.split()[1] for line in readme_commands()}
+        assert commands == {"formula", "construct", "verify",
+                                 "search-ar", "search-ex", "representing"}
 
     def test_console_entry_point_exists(self, monkeypatch):
         # The console script is declared in the repository's pyproject.toml;
