@@ -40,10 +40,10 @@ def _emit(obj: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _env_int(name: str, fallback: int) -> int:
+def _env_int(name: str) -> Optional[int]:
     raw = os.environ.get(name)
     if raw is None:
-        return fallback
+        return None
     try:
         return int(raw)
     except ValueError:
@@ -51,17 +51,17 @@ def _env_int(name: str, fallback: int) -> int:
 
 
 def _budget_from(args) -> SearchBudget:
-    return SearchBudget(
-        max_nodes=args.max_nodes
-        if args.max_nodes is not None
-        else _env_int("ARFOREST_MAX_NODES", 50_000_000),
-        max_millis=args.max_millis
-        if args.max_millis is not None
-        else _env_int("ARFOREST_MAX_MILLIS", 300_000),
-        parallelism=args.workers
-        if args.workers is not None
-        else _env_int("ARFOREST_WORKERS", 1),
-    )
+    """The budget fields given by flag, or else by environment variable;
+    SearchBudget's defaults fill the rest."""
+    given = {}
+    for field, flag, env in (
+            ("max_nodes", args.max_nodes, "ARFOREST_MAX_NODES"),
+            ("max_millis", args.max_millis, "ARFOREST_MAX_MILLIS"),
+            ("parallelism", args.workers, "ARFOREST_WORKERS")):
+        value = flag if flag is not None else _env_int(env)
+        if value is not None:
+            given[field] = value
+    return SearchBudget(**given)
 
 
 def _parse_forest(spec: str) -> LinearForest:
@@ -95,89 +95,70 @@ def _json_value(x):
     return x
 
 
+# each formula's flags, in the order its usage error names them, and the
+# call it makes on their values; the two bounds without a FormulaResult get
+# the validity the CLI states for them
+FORMULAS = {
+    "ar-path": (("n", "k"), formulas.ar_path),
+    "ar-matching": (("n", "t"), formulas.ar_matching),
+    "ar-main": (("n", "forest"), formulas.ar_linear_forest),
+    "ar-asymptotic": (("forest",), lambda forest: formulas.FormulaResult(
+        formulas.ar_asymptotic_coefficient(forest), None,
+        "coefficient of n, k >= 2")),
+    "eg-bound": (("n", "k"), lambda n, k: formulas.FormulaResult(
+        formulas.erdos_gallai_bound(n, k), None, "all n, k >= 1")),
+    "ex-kp3": (("n", "k"), formulas.ex_k_p3),
+    "ex-forest": (("n", "forest"), formulas.ex_linear_forest),
+}
+
+
 def cmd_formula(args) -> int:
-    name = args.name
-    inputs: dict = {}
-    epsilon: Optional[int] = None
-    validity = ""
-    if name in ("ar-path", "eg-bound", "ex-kp3"):
-        if args.n is None or args.k is None:
-            raise UsageError(f"{name} needs --n and --k")
-        inputs = {"n": args.n, "k": args.k}
-        if name == "ar-path":
-            res = formulas.ar_path(args.n, args.k)
-            value, epsilon, validity = res.value, res.epsilon, res.validity
-        elif name == "eg-bound":
-            value = formulas.erdos_gallai_bound(args.n, args.k)
-            validity = "all n, k >= 1"
-        else:
-            res = formulas.ex_k_p3(args.n, args.k)
-            value, epsilon, validity = res.value, res.epsilon, res.validity
-    elif name == "ar-matching":
-        if args.n is None or args.t is None:
-            raise UsageError("ar-matching needs --n and --t")
-        inputs = {"n": args.n, "t": args.t}
-        res = formulas.ar_matching(args.n, args.t)
-        value, epsilon, validity = res.value, res.epsilon, res.validity
-    elif name in ("ar-main", "ex-forest"):
-        if args.n is None or args.forest is None:
-            raise UsageError(f"{name} needs --n and --forest")
-        forest = _parse_forest(args.forest)
-        inputs = {"n": args.n, "forest": forest.spec_string()}
-        fn = (formulas.ar_linear_forest if name == "ar-main"
-              else formulas.ex_linear_forest)
-        res = fn(args.n, forest)
-        value, epsilon, validity = res.value, res.epsilon, res.validity
-    elif name == "ar-asymptotic":
-        if args.forest is None:
-            raise UsageError("ar-asymptotic needs --forest")
-        forest = _parse_forest(args.forest)
-        inputs = {"forest": forest.spec_string()}
-        value = formulas.ar_asymptotic_coefficient(forest)
-        validity = "coefficient of n, k >= 2"
-    else:
-        raise UsageError(f"unknown formula {name!r}")
-    _emit({"name": name, "inputs": inputs, "value": _json_value(value),
-           "epsilon": epsilon, "validity": validity})
+    flags, call = FORMULAS[args.name]
+    given = [getattr(args, flag) for flag in flags]
+    if None in given:
+        raise UsageError(f"{args.name} needs "
+                         + " and ".join(f"--{flag}" for flag in flags))
+    values = [_parse_forest(v) if flag == "forest" else v
+              for flag, v in zip(flags, given)]
+    res = call(*values)
+    inputs = {flag: v.spec_string() if flag == "forest" else v
+              for flag, v in zip(flags, values)}
+    _emit({"name": args.name, "inputs": inputs,
+           "value": _json_value(res.value), "epsilon": res.epsilon,
+           "validity": res.validity})
     return EXIT_OK
 
 
 def cmd_construct(args) -> int:
     n = args.n
+    # the detector checks the object only on hosts small enough to exhaust
+    verified = n <= VERIFY_LIMIT
     sidecar: dict = {"family": args.family, "n": n, "forest": None,
-                     "colors": None, "verified": False}
+                     "colors": None, "verified": verified}
     if args.family in ("turan", "forest") and args.forest is None:
         raise UsageError(f"{args.family} family needs --forest")
     if args.family == "turan":
         forest = _parse_forest(args.forest)
         g = build_turan_extremal(n, forest)
-        verified = n <= VERIFY_LIMIT
         if verified:
             copy = contains_subgraph(g, forest)
             if copy is not None:
                 raise ConstructionError(
                     f"Turan graph contains {forest} at n={n}", copy)
         payload = graph6_encode(g) + "\n"
-        sidecar.update(forest=forest.spec_string(), edges=g.edge_count,
-                       verified=verified)
+        sidecar.update(forest=forest.spec_string(), edges=g.edge_count)
     elif args.family == "path":
         if args.k is None:
             raise UsageError("path family needs --k")
-        coloring = build_path_coloring(n, args.k)
+        coloring = build_path_coloring(n, args.k, verify=verified)
         payload = coloring.to_text()
-        sidecar.update(forest=str(args.k), colors=coloring.m,
-                       verified=n <= VERIFY_LIMIT)
-    elif args.family == "forest":
-        forest = _parse_forest(args.forest)
-        arrangement = (InteriorArrangement.SINGLE_EDGE_SECOND_COLOR
-                       if args.arrangement == "single-edge"
-                       else InteriorArrangement.MONOCHROMATIC_INTERIOR)
-        coloring = build_forest_coloring(n, forest, arrangement)
-        payload = coloring.to_text()
-        sidecar.update(forest=forest.spec_string(), colors=coloring.m,
-                       verified=n <= VERIFY_LIMIT)
+        sidecar.update(forest=str(args.k), colors=coloring.m)
     else:
-        raise UsageError(f"unknown family {args.family!r}")
+        forest = _parse_forest(args.forest)
+        coloring = build_forest_coloring(
+            n, forest, InteriorArrangement(args.arrangement), verify=verified)
+        payload = coloring.to_text()
+        sidecar.update(forest=forest.spec_string(), colors=coloring.m)
     if args.out:
         _write_text(args.out, payload)
         _write_text(args.out + ".json",
@@ -200,13 +181,9 @@ def cmd_verify(args) -> int:
     return EXIT_FOUND
 
 
-def cmd_search(args, kind: str) -> int:
+def cmd_search(args) -> int:
     forest = _parse_forest(args.forest)
-    budget = _budget_from(args)
-    if kind == "ar":
-        report = brute_force_ar(args.n, forest, budget)
-    else:
-        report = brute_force_ex(args.n, forest, budget)
+    report = args.oracle(args.n, forest, _budget_from(args))
     out = report.to_json_dict()
     out["n"] = args.n
     out["forest"] = forest.spec_string()
@@ -222,17 +199,13 @@ def cmd_search(args, kind: str) -> int:
 
 def cmd_representing(args) -> int:
     coloring = _load_coloring(args.coloring)
-    if args.sample_seed is not None:
-        rep = sample_representing(coloring, args.sample_seed)
-        _emit({"n": coloring.n, "colors": coloring.m,
-               "graphs": [graph6_encode(rep.graph)],
-               "total_count": str(
-                   representing_graphs(coloring, 1).total_count),
-               "truncated": False})
-        return EXIT_OK
-    enum = representing_graphs(coloring, args.cap)
-    graphs = [graph6_encode(rep.graph) for rep in enum]
-    _emit({"n": coloring.n, "colors": coloring.m, "graphs": graphs,
+    sampled = args.sample_seed is not None
+    # a sample ignores --cap
+    enum = representing_graphs(coloring, 1 if sampled else args.cap)
+    reps = ([sample_representing(coloring, args.sample_seed)] if sampled
+            else list(enum))
+    _emit({"n": coloring.n, "colors": coloring.m,
+           "graphs": [graph6_encode(rep.graph) for rep in reps],
            "total_count": str(enum.total_count), "truncated": enum.truncated})
     return EXIT_OK
 
@@ -244,31 +217,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("formula", help="evaluate a closed-form value")
-    p.add_argument("--name", required=True,
-                   choices=["ar-path", "ar-matching", "ar-main",
-                            "ar-asymptotic", "eg-bound", "ex-kp3",
-                            "ex-forest"])
+    p.set_defaults(run=cmd_formula)
+    p.add_argument("--name", required=True, choices=list(FORMULAS))
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--forest")
 
     p = sub.add_parser("construct", help="emit an extremal graph or coloring")
+    p.set_defaults(run=cmd_construct)
     p.add_argument("--family", required=True,
                    choices=["turan", "path", "forest"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--forest")
     p.add_argument("--k", type=int)
-    p.add_argument("--arrangement", default="single-edge",
-                   choices=["single-edge", "mono-interior"])
+    p.add_argument("--arrangement",
+                   default=InteriorArrangement.SINGLE_EDGE_SECOND_COLOR.value,
+                   choices=[a.value for a in InteriorArrangement])
     p.add_argument("--out")
 
     p = sub.add_parser("verify", help="test a coloring for a rainbow forest")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("--coloring", required=True)
     p.add_argument("--forest", required=True)
 
-    for kind in ("search-ar", "search-ex"):
+    for kind, oracle in (("search-ar", brute_force_ar),
+                         ("search-ex", brute_force_ex)):
         p = sub.add_parser(kind, help=f"exact {kind[-2:]} search at small n")
+        p.set_defaults(run=cmd_search, oracle=oracle)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--forest", required=True)
         p.add_argument("--max-nodes", type=int)
@@ -278,6 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("representing",
                        help="enumerate or sample representing graphs")
+    p.set_defaults(run=cmd_representing)
     p.add_argument("--coloring", required=True)
     p.add_argument("--cap", type=int, default=100)
     p.add_argument("--sample-seed", type=int)
@@ -292,19 +269,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        if args.command == "formula":
-            return cmd_formula(args)
-        if args.command == "construct":
-            return cmd_construct(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "search-ar":
-            return cmd_search(args, "ar")
-        if args.command == "search-ex":
-            return cmd_search(args, "ex")
-        if args.command == "representing":
-            return cmd_representing(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (UsageError, ValueError, ConstructionError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return EXIT_USAGE

@@ -73,18 +73,9 @@ class Graph:
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def edges(self) -> list[Edge]:
         return [(u, v) for u in range(self.n)
                 for v in _iter_bits(self.adj[u]) if u < v]
-
-    def neighbors(self, v: int) -> set[int]:
-        return set(_iter_bits(self.adj[v]))
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -384,14 +375,6 @@ class Embedding:
             for a, b in itertools.pairwise(seq):
                 out.append(norm_edge(a, b))
         return tuple(out)
-
-    @property
-    def is_rainbow(self) -> bool:
-        return (self.used_colors is not None
-                and len(set(self.used_colors)) == len(self.used_colors))
-
-    def valid_in(self, g: Graph) -> bool:
-        return all(g.has_edge(u, v) for u, v in self.used_edges)
 
     def to_json_dict(self) -> dict:
         d = {"forest": self.forest.spec_string(),

@@ -172,12 +172,12 @@ def find_rainbow(coloring: EdgeColoring,
     return Embedding(forest, tuple(paths), colors)
 
 
-def contains_subgraph(g: Graph, forest: LinearForest,
-                      anchor: Optional[Edge] = None) -> Optional[Embedding]:
+def contains_subgraph(g: Graph,
+                      forest: LinearForest) -> Optional[Embedding]:
     """An embedding of the forest in the plain graph, or None."""
     if forest.num_vertices > g.n:
         return None
-    paths = _search_forest(g.n, g.adj, forest.parts, anchor=anchor)
+    paths = _search_forest(g.n, g.adj, forest.parts)
     if paths is None:
         return None
     return Embedding(forest, tuple(paths))

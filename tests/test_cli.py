@@ -140,6 +140,23 @@ class TestConstructCommand:
                         "--forest", "4,2")
         assert code == 0 and out["rainbow"] is False
 
+    @pytest.mark.parametrize("limit", [11, 12])
+    @pytest.mark.parametrize("family,flags", [("path", ["--k", "5"]),
+                                              ("forest", ["--forest", "4,2"])])
+    def test_verified_says_whether_the_detector_ran(self, capsys, monkeypatch,
+                                                     limit, family, flags):
+        import arforest.cli as cli
+        import arforest.constructions as constructions
+        calls = []
+        detect = constructions.find_rainbow
+        monkeypatch.setattr(cli, "VERIFY_LIMIT", limit)
+        monkeypatch.setattr(constructions, "find_rainbow",
+                            lambda *a: calls.append(a) or detect(*a))
+        code, out = run(capsys, "construct", "--family", family,
+                        "--n", "12", *flags)
+        assert code == 0
+        assert out["verified"] is (limit == 12) is (len(calls) == 1)
+
     def test_path_family(self, capsys):
         code, out = run(capsys, "construct", "--family", "path",
                         "--n", "10", "--k", "5")

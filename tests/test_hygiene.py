@@ -1,6 +1,6 @@
-"""Source hygiene: every name a module imports is read in that module, the
-oracles import nothing from the code they check, and their search does not
-recurse."""
+"""Source hygiene: every name a module imports is read in that module, every
+name the package defines is read outside the tests, the oracles import
+nothing from the code they check, and their search does not recurse."""
 import ast
 from pathlib import Path
 
@@ -125,3 +125,52 @@ def test_self_calls_sees_nested_functions():
               "    def rec(i):\n"
               "        return rec(i - 1) if i else outer\n")
     assert self_calls(source) == ["rec"]
+
+
+def unread_definitions(defining: list[str], reading: list[str]) -> list[str]:
+    """The functions, methods and classes the defining sources define that
+    no source, of either list, reads by name or as an attribute.
+
+    Dunder methods are left out: Python calls them without naming them.
+    """
+    defined: set[str] = set()
+    read: set[str] = set()
+    for source in defining + reading:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+    for source in defining:
+        defined.update(
+            node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__")))
+    return sorted(defined - read)
+
+
+def test_only_the_named_colorings_go_unread_outside_the_tests():
+    # __init__.py only re-exports names, so a name it lists still counts as
+    # unread; the named colorings are what the tests and the README build
+    library = [p.read_text() for p in (ROOT / "src" / "arforest").glob("*.py")
+               if p.name != "__init__.py"]
+    bench = [p.read_text() for p in (ROOT / "bench").glob("*.py")]
+    assert unread_definitions(library, bench) == [
+        "all_rainbow", "canonical", "monochromatic"]
+
+
+def test_unread_definitions_sees_names_and_attributes():
+    source = ("class Box:\n"
+              "    def __len__(self):\n"
+              "        return 0\n"
+              "    def used(self):\n"
+              "        return self.used\n"
+              "    def only_stored(self):\n"
+              "        self.only_stored = 1\n"
+              "def helper():\n"
+              "    pass\n"
+              "def caller():\n"
+              "    return Box()\n")
+    assert unread_definitions([source], ["caller(); x.helper"]) == [
+        "only_stored"]

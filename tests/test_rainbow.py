@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arforest import (EdgeColoring, Graph, LinearForest, RecombinationError,
-                      common_neighborhood, complete_graph, contains_subgraph,
+from arforest import (EdgeColoring, Embedding, Graph, LinearForest,
+                      RecombinationError, common_neighborhood, complete_graph, contains_subgraph,
                       find_rainbow, lex_edges, norm_edge, rainbow,
                       recombine_representing, representing_graphs,
                       sample_representing)
@@ -93,19 +93,22 @@ def check_anchored_rainbow(n: int, color_of: dict, forest: LinearForest,
 def check_anchored(g: Graph, forest: LinearForest, anchor) -> bool:
     """Compare the detector on a plain graph with the naive reference, check
     any copy it returns, and return whether it found one."""
-    emb = contains_subgraph(g, forest, anchor=anchor)
-    assert (emb is not None) == naive_contains(g.n, set(g.edges()), forest,
-                                               anchor)
-    if emb is not None:
-        assert emb.valid_in(g)
+    paths = rainbow._search_forest(g.n, g.adj, forest.parts, anchor=anchor)
+    assert (paths is not None) == naive_contains(g.n, set(g.edges()), forest,
+                                                 anchor)
+    if paths is not None:
+        # the embedding checks the part lengths and that no vertex repeats
+        emb = Embedding(forest, tuple(paths))
+        assert all(g.adj[u] >> v & 1 for u, v in emb.used_edges)
         assert anchor is None or anchor in emb.used_edges
-    return emb is not None
+    return paths is not None
 
 
 class TestFindRainbow:
     def test_all_rainbow_host(self):
         emb = find_rainbow(EdgeColoring.all_rainbow(6), LF("3,2"))
-        assert emb is not None and emb.is_rainbow
+        assert emb is not None
+        assert len(set(emb.used_colors)) == len(emb.used_colors) == 3
 
     def test_monochromatic_host(self):
         assert find_rainbow(EdgeColoring.monochromatic(8), LF("2,2")) is None
@@ -119,7 +122,8 @@ class TestFindRainbow:
         c = EdgeColoring.all_rainbow(7)
         emb = find_rainbow(c, LF("4,3"))
         assert emb is not None
-        assert emb.valid_in(complete_graph(7))
+        assert emb.used_colors == tuple(c.color(u, v)
+                                        for u, v in emb.used_edges)
         assert len(set(emb.used_colors)) == len(emb.used_colors)
 
     def test_quick_reject_agrees_with_search(self):
