@@ -172,8 +172,7 @@ def find_rainbow(coloring: EdgeColoring,
     return Embedding(forest, tuple(paths), colors)
 
 
-def contains_subgraph(g: Graph,
-                      forest: LinearForest) -> Optional[Embedding]:
+def contains_subgraph(g: Graph, forest: LinearForest) -> Optional[Embedding]:
     """An embedding of the forest in the plain graph, or None."""
     if forest.num_vertices > g.n:
         return None

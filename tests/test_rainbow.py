@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arforest import (EdgeColoring, Embedding, Graph, LinearForest,
-                      RecombinationError, common_neighborhood, complete_graph, contains_subgraph,
-                      find_rainbow, lex_edges, norm_edge, rainbow,
-                      recombine_representing, representing_graphs,
+                      RecombinationError, common_neighborhood, complete_graph,
+                      contains_subgraph, find_rainbow, lex_edges, norm_edge,
+                      rainbow, recombine_representing, representing_graphs,
                       sample_representing)
 from reference import (naive_contains, naive_has_anchored_rainbow,
                        naive_has_rainbow)
