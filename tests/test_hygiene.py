@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is read in that module, every
-name the package defines is read outside the tests, the oracles import
-nothing from the code they check, and their search does not recurse."""
+function and class the package defines, but three named colorings, is read
+outside the tests, the oracles import nothing from the code they check, and
+their search does not recurse."""
 import ast
 from pathlib import Path
 
