@@ -106,7 +106,7 @@ FORMULAS = {
         formulas.ar_asymptotic_coefficient(forest), None,
         "coefficient of n, k >= 2")),
     "eg-bound": (("n", "k"), lambda n, k: formulas.FormulaResult(
-        formulas.erdos_gallai_bound(n, k), None, "all n, k >= 1")),
+        formulas.erdos_gallai_bound(n, k), None, "all n, k >= 2")),
     "ex-kp3": (("n", "k"), formulas.ex_k_p3),
     "ex-forest": (("n", "forest"), formulas.ex_linear_forest),
 }

@@ -68,12 +68,6 @@ def build_turan_extremal(n: int, forest: LinearForest) -> Graph:
 def _hub_coloring(n: int, hub: int, interior_colors: int,
                   arrangement: InteriorArrangement) -> EdgeColoring:
     """All hub-incident edges rainbow, interior on 1 or 2 further colors."""
-    if n - hub < 2:
-        raise ValueError("interior has no edges; host too small")
-    if interior_colors not in (1, 2):
-        raise ValueError("interior takes one or two colors")
-    if interior_colors == 2 and n - hub < 3:
-        raise ValueError("interior needs at least two edges for two colors")
     inner = itertools.count()  # hub-internal edges
     cross = itertools.count(hub * (hub - 1) // 2)  # hub-to-interior edges
     base = hub * (hub - 1) // 2 + hub * (n - hub)

@@ -111,9 +111,9 @@ def ar_asymptotic_coefficient(forest: LinearForest) -> int:
 
 
 def erdos_gallai_bound(n: int, k: int) -> Fraction:
-    """Upper bound (k-2)n/2 on the edge count of a P_k-free graph."""
-    if n < 1 or k < 1:
-        raise OutOfValidityError("erdos_gallai_bound needs n, k >= 1")
+    """Upper bound (k-2)n/2 on the edge count of a P_k-free graph, k >= 2."""
+    if n < 1 or k < 2:
+        raise OutOfValidityError("erdos_gallai_bound needs n >= 1, k >= 2")
     return Fraction((k - 2) * n, 2)
 
 

@@ -73,10 +73,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
-    def edges(self) -> list[Edge]:
-        return [(u, v) for u in range(self.n)
-                for v in _iter_bits(self.adj[u]) if u < v]
-
 
 def _iter_bits(mask: int) -> Iterator[int]:
     while mask:

@@ -90,15 +90,15 @@ the same rainbow-freeness, that obeys the rule in every row.
 
 Both searches are budgeted: at most max_nodes nodes are visited and the
 deadline is checked at every node.  Running out of budget returns the best
-value found so far (a valid lower bound) with exhausted=False.  With
-parallelism greater than one, the same search stopped at depth
-PARALLEL_EXPAND_LEVELS collects the decision prefixes it reaches, in the
-order the sequential search would reach them, and each becomes a task in a
-worker process.  A task is granted a share of the nodes not yet reserved
-when it is submitted and gives back what it did not use, so the node budget
-holds across all tasks.  The incumbent is merged monotonically as tasks
-finish, so late tasks start with a tighter bound (stale bounds only weaken
-pruning, never correctness).
+value found so far (a valid lower bound) with exhausted=False.  Every
+search runs one head search.  With one worker the head runs to the end.
+With more, it stops at depth PARALLEL_EXPAND_LEVELS and collects the
+decision prefixes it reaches, in the order a single worker would reach
+them, and each becomes a task in a worker process.  A task is granted a
+share of the nodes not yet reserved when it is submitted and gives back
+what it did not use, so the node budget holds across all tasks.  The
+incumbent is merged monotonically as tasks finish, so late tasks start with
+a tighter bound (stale bounds only weaken pruning, never correctness).
 """
 from __future__ import annotations
 
@@ -157,22 +157,20 @@ class SearchReport:
     stop_reason: str = "exhausted"
 
     def to_json_dict(self) -> dict:
+        stats = {"nodes" if key == "nodes_visited" else key: getattr(self, key)
+                 for key in _COUNTERS}
         return {
             "value": self.value,
             "exhausted": self.exhausted,
             "stats": {
-                "nodes": self.nodes_visited,
-                "pruned_by_rainbow": self.pruned_by_rainbow,
-                "pruned_by_bound": self.pruned_by_bound,
-                "dead_edges": self.dead_edges,
-                "detector_calls": self.detector_calls,
-                "reused_copies": self.reused_copies,
+                **stats,
                 "stop_reason": self.stop_reason,
                 "elapsed_ms": round(self.elapsed_seconds * 1000.0, 3),
             },
         }
 
 
+# the counter fields of SearchReport, which _dfs counts and _search sums
 _COUNTERS = ("nodes_visited", "pruned_by_rainbow", "pruned_by_bound",
              "dead_edges", "detector_calls", "reused_copies")
 
@@ -416,20 +414,21 @@ def _dfs(problem_cls: type, n: int, parts: tuple[int, ...], prefix: tuple,
 
 def _run_parallel(problem_cls: type, n: int, parts: tuple[int, ...],
                   prefixes: list[tuple], best: int, nodes_left: int,
-                  deadline: float, workers: int) -> tuple[list[dict], bool]:
+                  deadline: float, workers: int) -> list[dict]:
     """Search below each prefix in worker processes.
 
     Each task is submitted with the best value merged so far, so later tasks
     prune harder; a stale bound is safe, only less effective.  Each task is
     also granted nodes reserved from nodes_left and returns the unused part
     when it finishes, so all tasks together visit at most nodes_left nodes.
-    Returns the task results and whether every prefix got a task.  The pool
-    holds at most one worker per prefix, because a forked pool starts all
-    its workers at the first submit.
+    Returns one result per prefix that got a task, in the order the tasks
+    finished.  The pool holds at most one worker per prefix, because a
+    forked pool starts all its workers at the first submit; with no prefix
+    there is no pool.
     """
     workers = min(workers, len(prefixes))
     if not workers:
-        return [], True
+        return []
     # imported here because the process pool brings in multiprocessing,
     # pickle and socket, about 2 MiB resident that sequential runs never use
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -453,38 +452,37 @@ def _run_parallel(problem_cls: type, n: int, parts: tuple[int, ...],
                 nodes_left += pending.pop(fut) - res["nodes_visited"]
                 results.append(res)
                 best = max(best, res["best"])
-    return results, not queue
+    return results
 
 
 def _search(problem_cls: type, n: int, forest: LinearForest, best: int,
             budget: Optional[SearchBudget],
             start: float) -> tuple[SearchReport, Optional[tuple]]:
-    """Run _dfs in sequence or in parallel and merge what it found.
+    """Run the head _dfs, search below its frontier in parallel, and merge
+    what they found.
 
+    With one worker the head runs to the end, so its frontier is empty and
+    no pool is started.  With more, it stops at depth
+    PARALLEL_EXPAND_LEVELS, or runs to the end if K_n has fewer edges; a
+    head with a frontier has reached no leaf, so the tasks start from best.
     Returns a report without a witness, and the decision sequence of the
     best value if any search beat the given best.
     """
     budget = budget or SearchBudget()
     deadline = start + budget.max_millis / 1000.0
-    if budget.parallelism == 1:
-        results = [_dfs(problem_cls, n, forest.parts, (), best,
-                        budget.max_nodes, deadline)]
-        all_ran = True
-    else:
-        expansion = _dfs(problem_cls, n, forest.parts, (), best,
-                         budget.max_nodes, deadline,
-                         stop_at=min(PARALLEL_EXPAND_LEVELS, n * (n - 1) // 2))
-        tasks, all_ran = _run_parallel(
-            problem_cls, n, forest.parts, expansion["frontier"], best,
-            budget.max_nodes - expansion["nodes_visited"], deadline,
-            budget.parallelism)
-        results = [expansion, *tasks]
+    head = _dfs(problem_cls, n, forest.parts, (), best, budget.max_nodes,
+                deadline, stop_at=None if budget.parallelism == 1
+                else PARALLEL_EXPAND_LEVELS)
+    tasks = _run_parallel(problem_cls, n, forest.parts, head["frontier"],
+                          best, budget.max_nodes - head["nodes_visited"],
+                          deadline, budget.parallelism)
+    results = [head, *tasks]
     path = None
     for res in results:
         if res["best"] > best:
             best, path = res["best"], res["path"]
     reasons = {res["stop_reason"] for res in results}
-    if not all_ran:
+    if len(tasks) < len(head["frontier"]):
         reasons.add("nodes")  # a prefix got no node grant
     stop_reason = ("millis" if "millis" in reasons
                    else "nodes" if "nodes" in reasons else "exhausted")

@@ -33,7 +33,7 @@ FORMULA_RUNS = {
                       'n, k >= 2", "value": 2}'),
     "eg-bound": (["--n", "7", "--k", "5"],
                  '{"epsilon": null, "inputs": {"k": 5, "n": 7}, "name": '
-                 '"eg-bound", "validity": "all n, k >= 1", "value": "21/2"}'),
+                 '"eg-bound", "validity": "all n, k >= 2", "value": "21/2"}'),
     "ex-kp3": (["--n", "21", "--k", "3"],
                '{"epsilon": null, "inputs": {"k": 3, "n": 21}, "name": '
                '"ex-kp3", "validity": "n >= 7k", "value": 48}'),
@@ -63,6 +63,15 @@ class TestFormulaCommand:
         code, out = run(capsys, "formula", "--name", "eg-bound",
                         "--n", "10", "--k", "5")
         assert code == 0 and out["value"] == 15
+
+    def test_eg_bound_needs_a_path_with_an_edge(self, capsys):
+        # P_1 is no path this package knows, so its bound is out of range,
+        # not a negative value
+        assert main(["formula", "--name", "eg-bound", "--n", "7",
+                     "--k", "1"]) == 2
+        assert capsys.readouterr().out == (
+            '{"error": {"message": "erdos_gallai_bound needs n >= 1, '
+            'k >= 2", "type": "OutOfValidityError"}}\n')
 
     def test_asymptotic(self, capsys):
         code, out = run(capsys, "formula", "--name", "ar-asymptotic",

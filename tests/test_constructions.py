@@ -32,8 +32,11 @@ class TestTuranExtremal:
         g_odd = build_turan_extremal(20, LF("5,3"))
         g_even = build_turan_extremal(20, LF("5,4"))
         hub_odd = LF("5,3").half_sum - 1
-        assert (hub_odd, hub_odd + 1) in g_odd.edges()
-        assert all(u < LF("5,4").half_sum - 1 for u, _ in g_even.edges())
+        assert g_odd.adj[hub_odd] >> hub_odd + 1 & 1
+        # every edge of the even graph has an end in the hub
+        hub_even = LF("5,4").half_sum - 1
+        assert not any(g_even.adj[v] >> hub_even
+                       for v in range(hub_even, g_even.n))
 
     def test_rejected_shapes(self):
         with pytest.raises(ValueError):

@@ -105,6 +105,12 @@ class TestErdosGallai:
     def test_exact_rational(self):
         assert erdos_gallai_bound(7, 5) == Fraction(21, 2)
 
+    @pytest.mark.parametrize("n,k", [(7, 1), (7, 0), (0, 5)])
+    def test_below_validity_rejected(self, n, k):
+        # k = 1 would give the negative -n/2
+        with pytest.raises(OutOfValidityError):
+            erdos_gallai_bound(n, k)
+
 
 class TestExKP3:
     @pytest.mark.parametrize("n,k,expected", [

@@ -38,9 +38,8 @@ class TestGraph:
 
     def test_edges_roundtrip(self):
         g = Graph.from_edges(5, [(0, 1), (3, 1), (2, 4)])
-        assert g.edges() == [(0, 1), (1, 3), (2, 4)]
+        assert g.adj == (1 << 1, 1 << 0 | 1 << 3, 1 << 4, 1 << 1, 1 << 2)
         assert g.edge_count == 3
-        assert g.adj[1] == 1 << 0 | 1 << 3
 
     @pytest.mark.parametrize("edge", [(-2, -1), (-1, 2), (1, 3), (3, 4)])
     def test_from_edges_rejects_out_of_range(self, edge):

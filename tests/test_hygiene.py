@@ -132,23 +132,34 @@ def unread_definitions(defining: list[str], reading: list[str]) -> list[str]:
     """The functions, methods and classes the defining sources define that
     no source, of either list, reads by name or as an attribute.
 
-    Dunder methods are left out: Python calls them without naming them.
+    A name that some source also stores as an attribute, as in self.edges =
+    ..., counts as read only where it is called, since reading it may read
+    the data.  Dunder methods are left out: Python calls them without
+    naming them.
     """
     defined: set[str] = set()
     read: set[str] = set()
+    stored: set[str] = set()
+    called: set[str] = set()
     for source in defining + reading:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
-            elif (isinstance(node, ast.Attribute)
-                  and isinstance(node.ctx, ast.Load)):
-                read.add(node.attr)
+            elif isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif isinstance(node.ctx, ast.Store):
+                    stored.add(node.attr)
+            elif isinstance(node, ast.Call):
+                func = node.func
+                called.add(func.attr if isinstance(func, ast.Attribute)
+                           else getattr(func, "id", ""))
     for source in defining:
         defined.update(
             node.name for node in ast.walk(ast.parse(source))
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and not (node.name.startswith("__") and node.name.endswith("__")))
-    return sorted(defined - read)
+    return sorted(defined - (read - stored) - called)
 
 
 def test_only_the_named_colorings_go_unread_outside_the_tests():
@@ -169,9 +180,16 @@ def test_unread_definitions_sees_names_and_attributes():
               "        return self.used\n"
               "    def only_stored(self):\n"
               "        self.only_stored = 1\n"
+              "    def shadowed(self):\n"
+              "        return self.shadowed\n"
+              "    def stored_and_called(self):\n"
+              "        self.stored_and_called = 1\n"
               "def helper():\n"
               "    pass\n"
               "def caller():\n"
               "    return Box()\n")
-    assert unread_definitions([source], ["caller(); x.helper"]) == [
-        "only_stored"]
+    # shadowed is read only as the data that self.shadowed = ... stores
+    reading = ["caller(); x.helper; x.stored_and_called()",
+               "self.shadowed = []"]
+    assert unread_definitions([source], reading) == [
+        "only_stored", "shadowed"]

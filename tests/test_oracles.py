@@ -1,20 +1,25 @@
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from itertools import permutations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arforest
 from arforest import (EdgeColoring, LinearForest, SearchBudget,
                       SearchReport, ar_linear_forest, brute_force_ar,
                       brute_force_ex, build_forest_coloring,
                       contains_subgraph, erdos_gallai_bound,
                       ex_linear_forest, lex_edges, verify_witness)
 from arforest import rainbow
-from arforest.oracles import (_COUNTERS, _ArProblem, _dfs, _ExProblem,
-                              _seed_extremal, _twin_colors, _twin_forbids)
+from arforest.oracles import (_COUNTERS, PARALLEL_EXPAND_LEVELS, _ArProblem,
+                              _dfs, _ExProblem, _seed_extremal, _twin_colors,
+                              _twin_forbids)
 from reference import (faudree_schelp, naive_ar, naive_ex, naive_has_rainbow,
                        set_partitions)
 
@@ -49,6 +54,38 @@ def frontier(problem_cls, n: int, spec: str, depth: int) -> list:
                stop_at=depth)
     assert res["stop_reason"] == "exhausted"
     return res["frontier"]
+
+
+@pytest.fixture
+def inline_pool(monkeypatch) -> list:
+    """Replace the process pool with one that starts no process and runs
+    each task inline; returns the pools constructed, each with its
+    max_workers and its count of submitted tasks."""
+    import concurrent.futures
+
+    pools: list = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.submitted = 0
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            self.submitted += 1
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InlinePool)
+    return pools
 
 
 def rg_colorings(n: int):
@@ -479,41 +516,57 @@ class TestBudgets:
     @pytest.mark.parametrize("oracle,n,spec", [
         (brute_force_ex, 7, "4,2"), (brute_force_ar, 6, "5"),
     ])
-    def test_pool_is_capped_at_prefix_count(self, monkeypatch, oracle, n,
+    def test_pool_is_capped_at_prefix_count(self, inline_pool, oracle, n,
                                             spec):
         # a forked pool starts all its workers at the first submit, so a
-        # huge parallelism must not reach the pool; this fake starts no
-        # process and runs each task inline
-        import concurrent.futures
-
-        pools = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                self.max_workers = max_workers
-                self.submitted = 0
-                pools.append(self)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                self.submitted += 1
-                fut = concurrent.futures.Future()
-                fut.set_result(fn(*args))
-                return fut
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            InlinePool)
+        # huge parallelism must not reach the pool
         par = oracle(n, LF(spec), replace(FAST, parallelism=10_000))
         seq = oracle(n, LF(spec), FAST)
         assert par.exhausted and par.value == seq.value
         assert verify_witness(par, LF(spec))
-        [pool] = pools
+        [pool] = inline_pool
         assert 0 < pool.max_workers == pool.submitted
+
+    def test_head_finishes_a_search_shallower_than_the_split(
+            self, inline_pool):
+        # K_3 has fewer edges than the split depth, so the head search
+        # reaches every leaf and leaves no prefix for a pool (EX at n <= 3
+        # is pruned at the root, so only AR gets that far)
+        assert 3 < PARALLEL_EXPAND_LEVELS
+        par = brute_force_ar(3, LF("3"), replace(FAST, parallelism=2))
+        seq = brute_force_ar(3, LF("3"), FAST)
+        assert inline_pool == []
+        assert seq.nodes_visited > 1
+        assert (replace(par, elapsed_seconds=0.0)
+                == replace(seq, elapsed_seconds=0.0))
+        assert par.exhausted and verify_witness(par, LF("3"))
+
+    def test_prefixes_left_without_nodes_stop_on_nodes(self, inline_pool):
+        # a node budget the head search uses up exactly leaves every prefix
+        # without a task, so the search is not exhausted
+        head = _dfs(_ArProblem, 7, LF("4,2").parts, (), 0, 10**9,
+                    float("inf"), stop_at=PARALLEL_EXPAND_LEVELS)
+        assert head["stop_reason"] == "exhausted" and head["frontier"]
+        report = brute_force_ar(7, LF("4,2"), SearchBudget(
+            max_nodes=head["nodes_visited"], parallelism=2))
+        assert report.nodes_visited == head["nodes_visited"]
+        assert report.stop_reason == "nodes" and not report.exhausted
+        [pool] = inline_pool
+        assert pool.submitted == 0
+
+    def test_one_worker_never_imports_the_pool(self):
+        # the pool brings in multiprocessing, pickle and socket, about
+        # 2 MiB that a sequential search must not pay for
+        code = ("import sys\n"
+                "from arforest import LinearForest as LF, brute_force_ar, "
+                "brute_force_ex\n"
+                "assert brute_force_ex(7, LF.parse('4,2')).exhausted\n"
+                "assert brute_force_ar(5, LF.parse('3,2')).exhausted\n"
+                "print('concurrent.futures' in sys.modules)\n")
+        src = str(Path(arforest.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-c", code], cwd=src,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "False\n"
 
 
 class TestVerifyWitness:
