@@ -6,26 +6,28 @@ col[u][v] being the color of edge uv (entries of absent edges are never
 read).  The colors a partial embedding uses are an int bitmask, so a
 rainbow check is one shift and one and.
 
-The search is a depth-first backtracker that places path parts longest
-first, extending one endpoint at a time.  Two symmetry rules keep it from
-duplicating work without losing witnesses: a completed path must start at
-its smaller endpoint, and equal-length parts are forced into increasing
-order of their smallest host vertex.  A trailing block of 2-vertex parts
-needs no matching pass of its own: a greedy matching (the lowest free
-vertex takes its lowest free neighbour whose color is unused, part by part)
-is exactly the first leaf the backtracker reaches, since that neighbour is
-above the lowest free vertex and each greedy edge starts above the last.
-Inside backtracking, a greedy edge below the previous equal part's smallest
-vertex cannot succeed either, because the branch that starts there was
-already searched exhaustively.
+The search is one depth-first backtracker, _grow, that places path parts
+longest first, one vertex at a time at a part's growing end: a free
+neighbour of that end whose edge color is unused.  Two symmetry rules keep
+it from duplicating work without losing witnesses: a free part must start
+at its smaller endpoint, and equal-length free parts are forced into
+increasing order of their smallest host vertex.  A trailing block of
+2-vertex parts needs no matching pass of its own: a greedy matching (the
+lowest free vertex takes its lowest free neighbour whose color is unused,
+part by part) is exactly the first leaf the backtracker reaches, since that
+neighbour is above the lowest free vertex and each greedy edge starts above
+the last.  Inside backtracking, a greedy edge below the previous equal
+part's smallest vertex cannot succeed either, because the branch that
+starts there was already searched exhaustively.
 
-An anchored search must use a given edge uv.  For each distinct part
-length t it grows the part's left arm from u in one pass, and at each arm
-length L, before growing it further, finishes the part with every right arm
-of t - 2 - L vertices from v.  Every path through uv is one pair of arms, so
-each is tried once, and the left arms are not rebuilt for each split.  The
-other parts are placed with the same search as above, outside the vertices
-and colors the anchored part took.
+A search anchored at edge uv first places a part through uv, once for each
+distinct part length t, and then the other parts as above.  That part grows
+its left arm from u in one pass, and at each arm length L, before growing
+it further, turns once and is finished with every right arm of t - 2 - L
+vertices from v.  Every path through uv is one pair of arms, so each is
+tried once, and the left arms are not rebuilt for each split.  The anchor
+fixes the part's orientation and tells it apart from the parts of its
+length, so neither symmetry rule applies to it.
 """
 from __future__ import annotations
 
@@ -59,7 +61,8 @@ def _search_forest(
     """
     out: list[tuple[int, ...]] = []
     if anchor is None:
-        return out if _path(n, adj, col, parts, 0, [], 0, 0, -1, out) else None
+        found = _grow(n, adj, col, parts, 0, [], parts[0], 0, 0, 0, -1, out)
+        return out if found else None
     u, v = anchor
     if not adj[u] >> v & 1:
         return None
@@ -68,29 +71,41 @@ def _search_forest(
     for idx, t in enumerate(parts):
         if idx and parts[idx - 1] == t:
             continue  # the same part again
-        rest = parts[:idx] + parts[idx + 1:]
-        if _through(n, adj, col, rest, [u], [v], t - 2, True, mask, used,
-                    out):
-            paths = out[1:]
-            paths.insert(idx, out[0])
-            return paths
+        # the part through uv goes first; its copy goes back to index idx
+        if _grow(n, adj, col, (t, *parts[:idx], *parts[idx + 1:]), 0, [v, u],
+                 t - 2, 1, mask, used, -1, out):
+            out.insert(idx, out.pop(0))
+            return out
     return None
 
 
-def _path(n: int, adj, col, parts: tuple[int, ...], pi: int, seq: list[int],
-          mask: int, used: int, prev_min: int, out: list) -> bool:
-    """Grow seq into part pi one vertex at a time from its free end, then
-    place the parts after it."""
-    t = parts[pi]
-    if len(seq) == t:
-        if seq[0] > seq[-1]:
-            return False
-        mn = min(seq)
-        if pi and parts[pi - 1] == t and mn < prev_min:
-            return False
+def _grow(n: int, adj, col, parts: tuple[int, ...], pi: int, seq: list[int],
+          spare: int, arm: int, mask: int, used: int, prev_min: int,
+          out: list) -> bool:
+    """Add spare more vertices to the end of seq, part pi, then place the
+    parts after it.  arm 0 is a free part, whose first vertex is any free
+    one.  arm 1 is the left arm of the part through uv: seq is v, u and the
+    arm, and at each arm length it is first reversed and finished from v as
+    arm 2."""
+    if arm == 1:
+        seq.reverse()
+        found = _grow(n, adj, col, parts, pi, seq, spare, 2, mask, used,
+                      prev_min, out)
+        seq.reverse()
+        if found or not spare:
+            return found
+    elif not spare:
+        if not arm:  # free parts only; the anchored part passes on -1
+            if seq[0] > seq[-1]:
+                return False
+            mn = min(seq)
+            if pi and parts[pi - 1] == parts[pi] and mn < prev_min:
+                return False
+            prev_min = mn
         out.append(tuple(seq))
-        if pi + 1 == len(parts) or _path(n, adj, col, parts, pi + 1, [], mask,
-                                         used, mn, out):
+        if pi + 1 == len(parts) or _grow(n, adj, col, parts, pi + 1, [],
+                                         parts[pi + 1], 0, mask, used,
+                                         prev_min, out):
             return True
         out.pop()
         return False
@@ -101,44 +116,6 @@ def _path(n: int, adj, col, parts: tuple[int, ...], pi: int, seq: list[int],
         cand = ((1 << n) - 1) & ~mask
         row = None
     while cand:
-        v = (cand & -cand).bit_length() - 1
-        cand &= cand - 1
-        bit = 0
-        if row is not None:
-            bit = 1 << row[v]
-            if used & bit:
-                continue
-        seq.append(v)
-        if _path(n, adj, col, parts, pi, seq, mask | 1 << v, used | bit,
-                 prev_min, out):
-            return True
-        seq.pop()
-    return False
-
-
-def _through(n: int, adj, col, rest: tuple[int, ...], lseq: list[int],
-             rseq: list[int], spare: int, left: bool, mask: int, used: int,
-             out: list) -> bool:
-    """Add spare more vertices to the arms, then place the rest parts; the
-    anchored part is lseq reversed followed by rseq.  With left, first give
-    them all to rseq, then grow lseq by one and recurse; without, grow rseq.
-    """
-    if left and _through(n, adj, col, rest, lseq, rseq, spare, False, mask,
-                         used, out):
-        return True
-    if not spare:
-        if left:
-            return False
-        out.append(tuple(lseq[::-1] + rseq))
-        if not rest or _path(n, adj, col, rest, 0, [], mask, used, -1, out):
-            return True
-        out.pop()
-        return False
-    seq = lseq if left else rseq
-    end = seq[-1]
-    cand = adj[end] & ~mask
-    row = None if col is None else col[end]
-    while cand:
         w = (cand & -cand).bit_length() - 1
         cand &= cand - 1
         bit = 0
@@ -147,8 +124,8 @@ def _through(n: int, adj, col, rest: tuple[int, ...], lseq: list[int],
             if used & bit:
                 continue
         seq.append(w)
-        if _through(n, adj, col, rest, lseq, rseq, spare - 1, left,
-                    mask | 1 << w, used | bit, out):
+        if _grow(n, adj, col, parts, pi, seq, spare - 1, arm, mask | 1 << w,
+                 used | bit, prev_min, out):
             return True
         seq.pop()
     return False

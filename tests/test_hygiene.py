@@ -1,7 +1,7 @@
 """Source hygiene: every name a module imports is read in that module, every
 function and class the package defines, but three named colorings, is read
-outside the tests, the oracles import nothing from the code they check, and
-their search does not recurse."""
+outside the tests, the oracles import nothing from the code they check,
+their search does not recurse, and the detector has one grower."""
 import ast
 from pathlib import Path
 
@@ -118,6 +118,15 @@ def test_oracles_do_not_recurse():
     # bounded by the interpreter stack
     source = (ROOT / "src" / "arforest" / "oracles.py").read_text()
     assert self_calls(source) == []
+
+
+def test_detector_has_one_grower():
+    # the plain and the anchored search share one extension loop, so no
+    # second placement function may come back beside _grow
+    tree = ast.parse((ROOT / "src" / "arforest" / "rainbow.py").read_text())
+    assert sorted(node.name for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name.startswith("_")) == ["_grow", "_search_forest"]
 
 
 def test_self_calls_sees_nested_functions():

@@ -184,7 +184,7 @@ class TestFindRainbow:
                     (find_rainbow(moved, LF(spec)) is None)
 
 
-class TestFindRainbowPartial:
+class TestAnchoredRainbow:
     @settings(max_examples=300, deadline=None)
     @given(anchored_partial_colorings())
     def test_anchored_agrees_with_naive(self, case):
