@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -18,12 +17,12 @@ from typing import Optional
 from . import formulas
 from .constructions import (VERIFY_LIMIT, ConstructionError,
                             InteriorArrangement, build_forest_coloring,
-                            build_path_coloring, build_turan_extremal)
+                            build_path_coloring, build_turan_extremal,
+                            check_free)
 from .graphs import (EdgeColoring, GraphFormatError, LinearForest,
                      graph6_encode)
 from .oracles import SearchBudget, brute_force_ar, brute_force_ex
-from .rainbow import (contains_subgraph, find_rainbow, representing_graphs,
-                      sample_representing)
+from .rainbow import find_rainbow, representing_graphs, sample_representing
 
 EXIT_OK = 0
 EXIT_FOUND = 1
@@ -38,30 +37,6 @@ class UsageError(Exception):
 def _emit(obj: dict) -> None:
     json.dump(obj, sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
-
-
-def _env_int(name: str) -> Optional[int]:
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"env var {name} must be an integer, got {raw!r}")
-
-
-def _budget_from(args) -> SearchBudget:
-    """The budget fields given by flag, or else by environment variable;
-    SearchBudget's defaults fill the rest."""
-    given = {}
-    for field, flag, env in (
-            ("max_nodes", args.max_nodes, "ARFOREST_MAX_NODES"),
-            ("max_millis", args.max_millis, "ARFOREST_MAX_MILLIS"),
-            ("parallelism", args.workers, "ARFOREST_WORKERS")):
-        value = flag if flag is not None else _env_int(env)
-        if value is not None:
-            given[field] = value
-    return SearchBudget(**given)
 
 
 def _parse_forest(spec: str) -> LinearForest:
@@ -87,6 +62,12 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}")
+
+
+def _text(obj) -> str:
+    """A coloring's text form, or one graph6 line for a graph."""
+    return (obj.to_text() if isinstance(obj, EdgeColoring)
+            else graph6_encode(obj) + "\n")
 
 
 def _json_value(x):
@@ -139,28 +120,21 @@ def cmd_construct(args) -> int:
         raise UsageError(f"{args.family} family needs --forest")
     if args.family == "turan":
         forest = _parse_forest(args.forest)
-        g = build_turan_extremal(n, forest)
-        if verified:
-            copy = contains_subgraph(g, forest)
-            if copy is not None:
-                raise ConstructionError(
-                    f"Turan graph contains {forest} at n={n}", copy)
-        payload = graph6_encode(g) + "\n"
-        sidecar.update(forest=forest.spec_string(), edges=g.edge_count)
+        built = build_turan_extremal(n, forest)
+        check_free(built, forest, verified)
+        sidecar.update(forest=forest.spec_string(), edges=built.edge_count)
     elif args.family == "path":
         if args.k is None:
             raise UsageError("path family needs --k")
-        coloring = build_path_coloring(n, args.k, verify=verified)
-        payload = coloring.to_text()
-        sidecar.update(forest=str(args.k), colors=coloring.m)
+        built = build_path_coloring(n, args.k, verify=verified)
+        sidecar.update(forest=str(args.k), colors=built.m)
     else:
         forest = _parse_forest(args.forest)
-        coloring = build_forest_coloring(
+        built = build_forest_coloring(
             n, forest, InteriorArrangement(args.arrangement), verify=verified)
-        payload = coloring.to_text()
-        sidecar.update(forest=forest.spec_string(), colors=coloring.m)
+        sidecar.update(forest=forest.spec_string(), colors=built.m)
     if args.out:
-        _write_text(args.out, payload)
+        _write_text(args.out, _text(built))
         _write_text(args.out + ".json",
                     json.dumps(sidecar, sort_keys=True) + "\n")
     _emit(sidecar)
@@ -171,27 +145,23 @@ def cmd_verify(args) -> int:
     coloring = _load_coloring(args.coloring)
     forest = _parse_forest(args.forest)
     witness = find_rainbow(coloring, forest)
-    if witness is None:
-        _emit({"rainbow": False, "forest": forest.spec_string(),
-               "n": coloring.n, "colors": coloring.m})
-        return EXIT_OK
-    _emit({"rainbow": True, "forest": forest.spec_string(),
-           "n": coloring.n, "colors": coloring.m,
-           "witness": witness.to_json_dict()})
-    return EXIT_FOUND
+    out = {"rainbow": witness is not None, "forest": forest.spec_string(),
+           "n": coloring.n, "colors": coloring.m}
+    if witness is not None:
+        out["witness"] = witness.to_json_dict()
+    _emit(out)
+    return EXIT_OK if witness is None else EXIT_FOUND
 
 
 def cmd_search(args) -> int:
     forest = _parse_forest(args.forest)
-    report = args.oracle(args.n, forest, _budget_from(args))
+    report = args.oracle(args.n, forest, SearchBudget(
+        args.max_nodes, args.max_millis, args.workers))
     out = report.to_json_dict()
     out["n"] = args.n
     out["forest"] = forest.spec_string()
     if args.witness_out and report.witness is not None:
-        _write_text(args.witness_out,
-                    report.witness.to_text()
-                    if isinstance(report.witness, EdgeColoring)
-                    else graph6_encode(report.witness) + "\n")
+        _write_text(args.witness_out, _text(report.witness))
         out["witness_file"] = args.witness_out
     _emit(out)
     return EXIT_OK if report.exhausted else EXIT_BUDGET
@@ -247,9 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=cmd_search, oracle=oracle)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--forest", required=True)
-        p.add_argument("--max-nodes", type=int)
-        p.add_argument("--max-millis", type=int)
-        p.add_argument("--workers", type=int)
+        p.add_argument("--max-nodes", type=int, default=SearchBudget.max_nodes)
+        p.add_argument("--max-millis", type=int, default=SearchBudget.max_millis)
+        p.add_argument("--workers", type=int, default=SearchBudget.parallelism)
         p.add_argument("--witness-out")
 
     p = sub.add_parser("representing",

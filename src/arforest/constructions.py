@@ -3,8 +3,9 @@
 Layout convention: hub vertices are always 0..hubSize-1, so two runs with the
 same inputs produce identical objects and golden files.  Fresh colors are
 allocated hub-internal edges first (lex), then hub-to-interior (lex), then the
-interior classes.  Every generated coloring can be detector-verified before it
-is returned; by default that happens for hosts small enough to exhaust.
+interior classes.  check_free runs the detector on a built graph or coloring;
+both coloring builders call it before they return, by default on hosts small
+enough to exhaust.  build_turan_extremal does not: its callers check it.
 """
 from __future__ import annotations
 
@@ -16,9 +17,9 @@ from .formulas import (ar_linear_forest, ar_path, epsilon_for_forest,
                        ex_linear_forest)
 from .graphs import (Edge, EdgeColoring, Embedding, Graph, LinearForest,
                      lex_edges)
-from .rainbow import find_rainbow
+from .rainbow import contains_subgraph, find_rainbow
 
-VERIFY_LIMIT = 12  # auto-verify colorings up to this host order
+VERIFY_LIMIT = 12  # auto-verify constructions up to this host order
 
 
 class InteriorArrangement(Enum):
@@ -81,16 +82,22 @@ def _hub_coloring(n: int, hub: int, interior_colors: int,
         for u, v in lex_edges(n)])
 
 
-def _maybe_verify(coloring: EdgeColoring, forest: LinearForest,
-                  verify: Optional[bool]) -> None:
+def check_free(built: Graph | EdgeColoring, forest: LinearForest,
+               verify: Optional[bool] = None) -> None:
+    """Raise ConstructionError with the witness if the detector finds the
+    forest in the graph, or a rainbow forest in the coloring.  verify=None
+    checks only hosts of at most VERIFY_LIMIT vertices."""
     if verify is None:
-        verify = coloring.n <= VERIFY_LIMIT
+        verify = built.n <= VERIFY_LIMIT
     if not verify:
         return
-    witness = find_rainbow(coloring, forest)
+    if isinstance(built, Graph):
+        witness, found = contains_subgraph(built, forest), "a copy of"
+    else:
+        witness, found = find_rainbow(built, forest), "a rainbow"
     if witness is not None:
         raise ConstructionError(
-            f"arrangement admits a rainbow {forest} at n={coloring.n}", witness)
+            f"construction holds {found} {forest} at n={built.n}", witness)
 
 
 def build_path_coloring(n: int, k: int,
@@ -110,7 +117,7 @@ def build_path_coloring(n: int, k: int,
                              InteriorArrangement.SINGLE_EDGE_SECOND_COLOR)
     _check_count(coloring.m, ar_path(n, k).value,
                  f"path coloring for P{k} at n={n}")
-    _maybe_verify(coloring, LinearForest((k,)), verify)
+    check_free(coloring, LinearForest((k,)), verify)
     return coloring
 
 
@@ -136,6 +143,6 @@ def build_forest_coloring(
                              1 + epsilon_for_forest(forest), arrangement)
     _check_count(coloring.m, ar_linear_forest(n, forest).value,
                  f"forest coloring for {forest} at n={n}")
-    _maybe_verify(coloring, forest, verify)
+    check_free(coloring, forest, verify)
     return coloring
 

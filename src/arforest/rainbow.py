@@ -163,7 +163,6 @@ def contains_subgraph(g: Graph, forest: LinearForest) -> Optional[Embedding]:
 class RepresentingGraph:
     """One edge chosen from each color class of an edge-colored K_n."""
 
-    n: int
     chosen: tuple[Edge, ...]  # indexed by color id
     graph: Graph
 
@@ -175,8 +174,7 @@ class RepresentingGraph:
         for cid, e in enumerate(choice):
             if coloring.color(*e) != cid:
                 raise ValueError(f"edge {e} does not carry color {cid}")
-        return cls(coloring.n, tuple(choice),
-                   Graph.from_edges(coloring.n, choice))
+        return cls(tuple(choice), Graph.from_edges(coloring.n, choice))
 
 
 class RepresentingEnumerator:

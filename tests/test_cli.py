@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from arforest import EdgeColoring, LinearForest
+from arforest import EdgeColoring, LinearForest, SearchBudget
 from arforest.cli import build_parser, main
 
 
@@ -151,15 +151,19 @@ class TestConstructCommand:
 
     @pytest.mark.parametrize("limit", [11, 12])
     @pytest.mark.parametrize("family,flags", [("path", ["--k", "5"]),
-                                              ("forest", ["--forest", "4,2"])])
+                                              ("forest", ["--forest", "4,2"]),
+                                              ("turan", ["--forest", "4,2"])])
     def test_verified_says_whether_the_detector_ran(self, capsys, monkeypatch,
                                                      limit, family, flags):
+        # every family is checked by constructions.check_free, with the
+        # detector for its kind of object
         import arforest.cli as cli
         import arforest.constructions as constructions
         calls = []
-        detect = constructions.find_rainbow
+        name = "contains_subgraph" if family == "turan" else "find_rainbow"
+        detect = getattr(constructions, name)
         monkeypatch.setattr(cli, "VERIFY_LIMIT", limit)
-        monkeypatch.setattr(constructions, "find_rainbow",
+        monkeypatch.setattr(constructions, name,
                             lambda *a: calls.append(a) or detect(*a))
         code, out = run(capsys, "construct", "--family", family,
                         "--n", "12", *flags)
@@ -248,15 +252,18 @@ class TestSearchCommands:
                         "--max-nodes", "40")
         assert code == 3 and out["exhausted"] is False
 
-    def test_env_budget(self, capsys, monkeypatch):
-        monkeypatch.setenv("ARFOREST_MAX_NODES", "40")
-        code, out = run(capsys, "search-ar", "--n", "6", "--forest", "3,2")
-        assert code == 3
+    def test_time_budget_exits_three(self, capsys):
+        # AR(30, P4+P2) is far out of reach; the deadline stops it
+        code, out = run(capsys, "search-ar", "--n", "30", "--forest", "4,2",
+                        "--max-millis", "100")
+        assert code == 3 and out["exhausted"] is False
+        assert out["stats"]["stop_reason"] == "millis"
 
-    def test_bad_env_budget(self, capsys, monkeypatch):
-        monkeypatch.setenv("ARFOREST_MAX_NODES", "lots")
-        code, out = run(capsys, "search-ar", "--n", "5", "--forest", "2,2")
-        assert code == 2 and "error" in out
+    def test_budget_defaults_are_search_budgets(self):
+        args = build_parser().parse_args(["search-ar", "--n", "5",
+                                          "--forest", "2,2"])
+        assert (SearchBudget(args.max_nodes, args.max_millis, args.workers)
+                == SearchBudget())
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_search_deeper_than_the_interpreter_stack(self, capsys, workers):

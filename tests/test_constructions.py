@@ -6,8 +6,8 @@ import arforest.constructions as constructions
 from arforest import (ConstructionError, InteriorArrangement, LinearForest,
                       ar_linear_forest, ar_path, build_forest_coloring,
                       build_path_coloring, build_turan_extremal,
-                      contains_subgraph, ex_linear_forest, find_rainbow,
-                      lex_edges)
+                      complete_graph, contains_subgraph, ex_linear_forest,
+                      find_rainbow, lex_edges)
 
 LF = LinearForest.parse
 
@@ -37,6 +37,13 @@ class TestTuranExtremal:
         hub_even = LF("5,4").half_sum - 1
         assert not any(g_even.adj[v] >> hub_even
                        for v in range(hub_even, g_even.n))
+
+    def test_check_free_raises_on_a_graph_with_a_copy(self):
+        forest = LF("4,2")
+        with pytest.raises(ConstructionError) as err:
+            constructions.check_free(complete_graph(10), forest, True)
+        assert err.value.witness.forest == forest
+        assert str(err.value) == "construction holds a copy of P4+P2 at n=10"
 
     def test_rejected_shapes(self):
         with pytest.raises(ValueError):
@@ -95,8 +102,7 @@ class TestForestColoring:
         c = build_forest_coloring(12, forest, verify=False)
         with pytest.raises(ConstructionError) as err:
             # the coloring built for 4,2 has too many colors for 2,2
-            from arforest.constructions import _maybe_verify
-            _maybe_verify(c, LF("2,2"), True)
+            constructions.check_free(c, LF("2,2"), True)
         colors = err.value.witness.used_colors
         assert len(set(colors)) == len(colors) == 2
 

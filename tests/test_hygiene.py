@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is read in that module, every
 function and class the package defines, but three named colorings, is read
 outside the tests, the oracles import nothing from the code they check,
-their search does not recurse, and the detector has one grower."""
+their search does not recurse, the detector has one grower, and no module
+reads the environment."""
 import ast
 from pathlib import Path
 
@@ -135,6 +136,39 @@ def test_self_calls_sees_nested_functions():
               "    def rec(i):\n"
               "        return rec(i - 1) if i else outer\n")
     assert self_calls(source) == ["rec"]
+
+
+def environment_reads(source: str) -> list[int]:
+    """The lines on which the source reads os.environ or os.getenv, as an
+    attribute of os or imported from it."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in names
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os" and any(
+                alias.name in names for alias in node.names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_module_reads_the_environment():
+    # flags are the CLI's only input channel, so a run is described in full
+    # by its command line
+    found = {p.name: environment_reads(p.read_text())
+             for p in (ROOT / "src" / "arforest").glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_environment_reads_sees_every_form():
+    source = ("import os\n"
+              "from os import getenv\n"
+              "from os import path\n"
+              "a = os.environ.get('X')\n"
+              "b = os.getenv('X')\n"
+              "c = os.path.join('a', 'b')\n")
+    assert environment_reads(source) == [2, 4, 5]
 
 
 def unread_definitions(defining: list[str], reading: list[str]) -> list[str]:
