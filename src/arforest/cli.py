@@ -15,10 +15,9 @@ from fractions import Fraction
 from typing import Optional
 
 from . import formulas
-from .constructions import (VERIFY_LIMIT, ConstructionError,
-                            InteriorArrangement, build_forest_coloring,
-                            build_path_coloring, build_turan_extremal,
-                            check_free)
+from .constructions import (ConstructionError, InteriorArrangement,
+                            build_forest_coloring, build_path_coloring,
+                            build_turan_extremal, check_free)
 from .graphs import (EdgeColoring, GraphFormatError, LinearForest,
                      graph6_encode)
 from .oracles import SearchBudget, brute_force_ar, brute_force_ex
@@ -70,6 +69,13 @@ def _text(obj) -> str:
             else graph6_encode(obj) + "\n")
 
 
+def _reject(args, what: str, flags) -> None:
+    """Raise a UsageError naming the first of the flags that was given."""
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            raise UsageError(f"{what} takes no --{flag}")
+
+
 def _json_value(x):
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else str(x)
@@ -99,6 +105,8 @@ def cmd_formula(args) -> int:
     if None in given:
         raise UsageError(f"{args.name} needs "
                          + " and ".join(f"--{flag}" for flag in flags))
+    _reject(args, args.name,
+            [flag for flag in ("n", "k", "t", "forest") if flag not in flags])
     values = [_parse_forest(v) if flag == "forest" else v
               for flag, v in zip(flags, given)]
     res = call(*values)
@@ -111,28 +119,29 @@ def cmd_formula(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    n = args.n
-    # the detector checks the object only on hosts small enough to exhaust
-    verified = n <= VERIFY_LIMIT
-    sidecar: dict = {"family": args.family, "n": n, "forest": None,
-                     "colors": None, "verified": verified}
-    if args.family in ("turan", "forest") and args.forest is None:
-        raise UsageError(f"{args.family} family needs --forest")
-    if args.family == "turan":
+    family, n = args.family, args.n
+    needs = "k" if family == "path" else "forest"
+    if getattr(args, needs) is None:
+        raise UsageError(f"{family} family needs --{needs}")
+    _reject(args, f"{family} family", {
+        "turan": ("k", "arrangement"), "path": ("forest", "arrangement"),
+        "forest": ("k",)}[family])
+    if family == "turan":
         forest = _parse_forest(args.forest)
         built = build_turan_extremal(n, forest)
-        check_free(built, forest, verified)
-        sidecar.update(forest=forest.spec_string(), edges=built.edge_count)
-    elif args.family == "path":
-        if args.k is None:
-            raise UsageError("path family needs --k")
-        built = build_path_coloring(n, args.k, verify=verified)
-        sidecar.update(forest=str(args.k), colors=built.m)
+        size = {"colors": None, "edges": built.edge_count}
+    elif family == "path":
+        built = build_path_coloring(n, args.k, verify=False)
+        forest = LinearForest((args.k,))
+        size = {"colors": built.m}
     else:
         forest = _parse_forest(args.forest)
         built = build_forest_coloring(
-            n, forest, InteriorArrangement(args.arrangement), verify=verified)
-        sidecar.update(forest=forest.spec_string(), colors=built.m)
+            n, forest, args.arrangement
+            or InteriorArrangement.SINGLE_EDGE_SECOND_COLOR, verify=False)
+        size = {"colors": built.m}
+    sidecar = {"family": family, "n": n, "forest": forest.spec_string(),
+               "verified": check_free(built, forest), **size}
     if args.out:
         _write_text(args.out, _text(built))
         _write_text(args.out + ".json",
@@ -170,8 +179,9 @@ def cmd_search(args) -> int:
 def cmd_representing(args) -> int:
     coloring = _load_coloring(args.coloring)
     sampled = args.sample_seed is not None
-    # a sample ignores --cap
-    enum = representing_graphs(coloring, 1 if sampled else args.cap)
+    _reject(args, "a sample", ["cap"] if sampled else [])
+    enum = representing_graphs(
+        coloring, 1 if sampled else 100 if args.cap is None else args.cap)
     reps = ([sample_representing(coloring, args.sample_seed)] if sampled
             else list(enum))
     _emit({"n": coloring.n, "colors": coloring.m,
@@ -202,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forest")
     p.add_argument("--k", type=int)
     p.add_argument("--arrangement",
-                   default=InteriorArrangement.SINGLE_EDGE_SECOND_COLOR.value,
                    choices=[a.value for a in InteriorArrangement])
     p.add_argument("--out")
 
@@ -226,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enumerate or sample representing graphs")
     p.set_defaults(run=cmd_representing)
     p.add_argument("--coloring", required=True)
-    p.add_argument("--cap", type=int, default=100)
+    p.add_argument("--cap", type=int)
     p.add_argument("--sample-seed", type=int)
 
     return parser

@@ -3,9 +3,10 @@
 Layout convention: hub vertices are always 0..hubSize-1, so two runs with the
 same inputs produce identical objects and golden files.  Fresh colors are
 allocated hub-internal edges first (lex), then hub-to-interior (lex), then the
-interior classes.  check_free runs the detector on a built graph or coloring;
-both coloring builders call it before they return, by default on hosts small
-enough to exhaust.  build_turan_extremal does not: its callers check it.
+interior classes.  Each builder asks its formula once, for the inputs it takes,
+its parity case and its count.  check_free runs the detector on a built graph
+or coloring small enough to exhaust; both coloring builders call it unless
+verify=False.  build_turan_extremal does not: its callers check it.
 """
 from __future__ import annotations
 
@@ -13,13 +14,12 @@ import itertools
 from enum import Enum
 from typing import Optional
 
-from .formulas import (ar_linear_forest, ar_path, epsilon_for_forest,
-                       ex_linear_forest)
+from .formulas import ar_linear_forest, ar_path, ex_linear_forest
 from .graphs import (Edge, EdgeColoring, Embedding, Graph, LinearForest,
                      lex_edges)
 from .rainbow import contains_subgraph, find_rainbow
 
-VERIFY_LIMIT = 12  # auto-verify constructions up to this host order
+VERIFY_LIMIT = 12  # check_free runs the detector up to this host order
 
 
 class InteriorArrangement(Enum):
@@ -47,21 +47,16 @@ def _check_count(built: int, formula: int, what: str) -> None:
 def build_turan_extremal(n: int, forest: LinearForest) -> Graph:
     """The forest-free graph with the maximum edge count: a universal hub of
     half_sum-1 vertices, plus one extra outside edge iff all parts are odd."""
-    if forest.k < 2:
-        raise ValueError("need at least two parts")
-    if all(t == 3 for t in forest.parts):
-        raise ValueError("all parts equal 3 has a different extremal shape")
+    result = ex_linear_forest(n, forest)
     hub = forest.half_sum - 1
-    if n < max(forest.num_vertices, hub + 2):
-        raise ValueError(f"n={n} too small for hub {hub} plus two outside vertices")
     edges: list[Edge] = []
     for u in range(hub):
         for v in range(u + 1, n):
             edges.append((u, v))
-    if forest.all_odd:
+    if result.epsilon:
         edges.append((hub, hub + 1))
     g = Graph.from_edges(n, edges)
-    _check_count(g.edge_count, ex_linear_forest(n, forest).value,
+    _check_count(g.edge_count, result.value,
                  f"Turan graph for {forest} at n={n}")
     return g
 
@@ -82,15 +77,12 @@ def _hub_coloring(n: int, hub: int, interior_colors: int,
         for u, v in lex_edges(n)])
 
 
-def check_free(built: Graph | EdgeColoring, forest: LinearForest,
-               verify: Optional[bool] = None) -> None:
-    """Raise ConstructionError with the witness if the detector finds the
-    forest in the graph, or a rainbow forest in the coloring.  verify=None
-    checks only hosts of at most VERIFY_LIMIT vertices."""
-    if verify is None:
-        verify = built.n <= VERIFY_LIMIT
-    if not verify:
-        return
+def check_free(built: Graph | EdgeColoring, forest: LinearForest) -> bool:
+    """Run the detector on a host of at most VERIFY_LIMIT vertices and
+    return whether it ran.  Raise ConstructionError with the witness if it
+    finds the forest in the graph, or a rainbow forest in the coloring."""
+    if built.n > VERIFY_LIMIT:
+        return False
     if isinstance(built, Graph):
         witness, found = contains_subgraph(built, forest), "a copy of"
     else:
@@ -98,51 +90,47 @@ def check_free(built: Graph | EdgeColoring, forest: LinearForest,
     if witness is not None:
         raise ConstructionError(
             f"construction holds {found} {forest} at n={built.n}", witness)
+    return True
 
 
-def build_path_coloring(n: int, k: int,
-                        verify: Optional[bool] = None) -> EdgeColoring:
+def build_path_coloring(n: int, k: int, verify: bool = True) -> EdgeColoring:
     """An extremal rainbow-P_k-free coloring of K_n (k >= 3).
 
     Hub of floor((k-1)/2)-1 vertices with all incident edges rainbow; the
     interior clique takes one further color for odd k and two for even k.
     A degenerate hub just means an interior-only coloring.
     """
-    if k < 3:
-        raise ValueError("need k >= 3 (a single edge is always rainbow)")
-    if n < k:
-        raise ValueError(f"n={n} < k={k}")
-    hub = max((k - 1) // 2 - 1, 0)
-    coloring = _hub_coloring(n, hub, 1 if k % 2 else 2,
+    result = ar_path(n, k)
+    coloring = _hub_coloring(n, (k - 1) // 2 - 1, 1 + result.epsilon,
                              InteriorArrangement.SINGLE_EDGE_SECOND_COLOR)
-    _check_count(coloring.m, ar_path(n, k).value,
-                 f"path coloring for P{k} at n={n}")
-    check_free(coloring, LinearForest((k,)), verify)
+    _check_count(coloring.m, result.value, f"path coloring for P{k} at n={n}")
+    if verify:
+        check_free(coloring, LinearForest((k,)))
     return coloring
 
 
 def build_forest_coloring(
     n: int,
     forest: LinearForest,
-    arrangement: InteriorArrangement = InteriorArrangement.SINGLE_EDGE_SECOND_COLOR,
-    verify: Optional[bool] = None,
+    arrangement: InteriorArrangement | str = InteriorArrangement.SINGLE_EDGE_SECOND_COLOR,
+    verify: bool = True,
 ) -> EdgeColoring:
     """An extremal rainbow-forest-free coloring of K_n.
 
     Hub of half_sum-2 vertices, all incident edges rainbow; interior takes
     one further color when at least two parts are even, two when exactly one
-    is.  Fails loudly with the witness if self-verification finds a rainbow
-    copy (that arrangement is then invalid for this forest).
+    is, placed by the arrangement or its value.  Fails loudly with the
+    witness if self-verification finds a rainbow copy (that arrangement is
+    then invalid for this forest).
     """
-    if forest.k < 2:
-        raise ValueError("need at least two parts; use build_path_coloring")
+    result = ar_linear_forest(n, forest)
     if n < forest.num_vertices + forest.half_sum:
         raise ValueError(
             f"n={n} < f+s={forest.num_vertices + forest.half_sum}")
-    coloring = _hub_coloring(n, forest.half_sum - 2,
-                             1 + epsilon_for_forest(forest), arrangement)
-    _check_count(coloring.m, ar_linear_forest(n, forest).value,
+    coloring = _hub_coloring(n, forest.half_sum - 2, 1 + result.epsilon,
+                             InteriorArrangement(arrangement))
+    _check_count(coloring.m, result.value,
                  f"forest coloring for {forest} at n={n}")
-    check_free(coloring, forest, verify)
+    if verify:
+        check_free(coloring, forest)
     return coloring
-

@@ -33,29 +33,6 @@ class FormulaResult:
             raise ValueError("formula values are nonnegative")
 
 
-# One shared parity census: three different case splits all key off the
-# number of even parts, so they live together to prevent drift.
-
-def epsilon_for_forest(forest: LinearForest) -> int:
-    """1 if exactly one part is even, 0 if at least two are even."""
-    e = forest.even_count
-    if e == 0:
-        raise UnsupportedForestError(
-            "all parts odd: exact value belongs to prior work, "
-            "only the asymptotic coefficient is available here")
-    return 1 if e == 1 else 0
-
-
-def asymptotic_epsilon(forest: LinearForest) -> int:
-    """1 if all parts are odd, else 2."""
-    return 1 if forest.all_odd else 2
-
-
-def turan_constant(forest: LinearForest) -> int:
-    """1 if all parts are odd, else 0."""
-    return 1 if forest.all_odd else 0
-
-
 def ar_path(n: int, k: int) -> FormulaResult:
     """Max colors on K_n with no rainbow path on k vertices (k >= 3).
 
@@ -92,11 +69,15 @@ def ar_linear_forest(n: int, forest: LinearForest) -> FormulaResult:
     """
     if forest.k < 2:
         raise UnsupportedForestError("single path: use ar_path")
-    eps = epsilon_for_forest(forest)
+    if forest.all_odd:
+        raise UnsupportedForestError(
+            "all parts odd: exact value belongs to prior work, "
+            "only the asymptotic coefficient is available here")
     if n < forest.num_vertices:
         raise OutOfValidityError(
             f"n={n} < f={forest.num_vertices}: forest does not fit")
     s = forest.half_sum
+    eps = 1 if forest.even_count == 1 else 0
     value = comb(s - 2, 2) + (s - 2) * (n - s + 2) + 1 + eps
     return FormulaResult(
         value, eps,
@@ -107,7 +88,7 @@ def ar_asymptotic_coefficient(forest: LinearForest) -> int:
     """Coefficient of n in AR(n, F) + O(1) for k >= 2."""
     if forest.k < 2:
         raise UnsupportedForestError("asymptotic coefficient needs k >= 2")
-    return forest.half_sum - asymptotic_epsilon(forest)
+    return forest.half_sum - (1 if forest.all_odd else 2)
 
 
 def erdos_gallai_bound(n: int, k: int) -> Fraction:
@@ -138,6 +119,6 @@ def ex_linear_forest(n: int, forest: LinearForest) -> FormulaResult:
         raise OutOfValidityError(
             f"n={n} < f={forest.num_vertices}: forest does not fit")
     s = forest.half_sum
-    c = turan_constant(forest)
+    c = 1 if forest.all_odd else 0
     value = comb(s - 1, 2) + (s - 1) * (n - s + 1) + c
     return FormulaResult(value, c, "n sufficiently large")

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from arforest import EdgeColoring, LinearForest, SearchBudget
+from arforest import (EdgeColoring, InteriorArrangement, LinearForest,
+                      SearchBudget, build_forest_coloring)
 from arforest.cli import build_parser, main
 
 
@@ -157,12 +158,11 @@ class TestConstructCommand:
                                                      limit, family, flags):
         # every family is checked by constructions.check_free, with the
         # detector for its kind of object
-        import arforest.cli as cli
         import arforest.constructions as constructions
         calls = []
         name = "contains_subgraph" if family == "turan" else "find_rainbow"
         detect = getattr(constructions, name)
-        monkeypatch.setattr(cli, "VERIFY_LIMIT", limit)
+        monkeypatch.setattr(constructions, "VERIFY_LIMIT", limit)
         monkeypatch.setattr(constructions, name,
                             lambda *a: calls.append(a) or detect(*a))
         code, out = run(capsys, "construct", "--family", family,
@@ -319,6 +319,68 @@ class TestRepresentingCommand:
         _, out2 = run(capsys, "representing", "--coloring", str(path),
                       "--sample-seed", "7")
         assert out1 == out2 and len(out1["graphs"]) == 1
+
+
+class TestStrayFlags:
+    # a flag the chosen variant does not read is an error, not ignored, so
+    # every flag on a command line was used
+    @pytest.mark.parametrize("argv,message", [
+        (["construct", "--family", "path", "--n", "10", "--k", "5",
+          "--forest", "4,2"], "path family takes no --forest"),
+        (["construct", "--family", "path", "--n", "10", "--k", "5",
+          "--arrangement", "mono-interior"],
+         "path family takes no --arrangement"),
+        (["construct", "--family", "turan", "--n", "12", "--forest", "5,4",
+          "--k", "9"], "turan family takes no --k"),
+        (["construct", "--family", "turan", "--n", "12", "--forest", "5,4",
+          "--arrangement", "single-edge"],
+         "turan family takes no --arrangement"),
+        (["construct", "--family", "forest", "--n", "12", "--forest", "4,2",
+          "--k", "5"], "forest family takes no --k"),
+        (["formula", "--name", "ar-path", "--n", "20", "--k", "5",
+          "--forest", "4,2"], "ar-path takes no --forest"),
+        (["formula", "--name", "ar-asymptotic", "--forest", "5,4",
+          "--n", "20"], "ar-asymptotic takes no --n"),
+        (["formula", "--name", "ex-kp3", "--n", "21", "--k", "3",
+          "--t", "3"], "ex-kp3 takes no --t"),
+        (["representing", "--coloring", "{coloring}", "--sample-seed", "7",
+          "--cap", "50"], "a sample takes no --cap"),
+    ], ids=["path-forest", "path-arrangement", "turan-k",
+            "turan-arrangement", "forest-k", "ar-path-forest",
+            "ar-asymptotic-n", "ex-kp3-t", "sample-cap"])
+    def test_stray_flag_is_usage_error(self, capsys, tmp_path, argv,
+                                       message):
+        coloring = tmp_path / "c.txt"
+        coloring.write_text(EdgeColoring(4, [0, 0, 1, 1, 2, 2]).to_text())
+        out_path = tmp_path / "out.txt"
+        argv = [a.format(coloring=coloring) for a in argv]
+        if argv[0] == "construct":
+            argv += ["--out", str(out_path)]
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert out == {"error": {"type": "UsageError", "message": message}}
+        assert list(tmp_path.iterdir()) == [coloring]
+
+    @pytest.mark.parametrize("flags,arrangement", [
+        ([], InteriorArrangement.SINGLE_EDGE_SECOND_COLOR),
+        *[(["--arrangement", a.value], a) for a in InteriorArrangement]])
+    def test_arrangement_reaches_the_builder(self, capsys, tmp_path, flags,
+                                             arrangement):
+        # 3,2 has two interior colors, so the two arrangements differ
+        out_path = tmp_path / "c.txt"
+        code, _ = run(capsys, "construct", "--family", "forest", "--n", "7",
+                      "--forest", "3,2", *flags, "--out", str(out_path))
+        assert code == 0
+        assert out_path.read_text() == build_forest_coloring(
+            7, LinearForest.parse("3,2"), arrangement).to_text()
+
+    def test_enumeration_cap_defaults_to_100(self, capsys, tmp_path):
+        # three color classes of five edges: 125 representing graphs
+        path = tmp_path / "c.txt"
+        path.write_text(EdgeColoring(6, [0] * 5 + [1] * 5 + [2] * 5).to_text())
+        code, out = run(capsys, "representing", "--coloring", str(path))
+        assert code == 0 and out["total_count"] == "125"
+        assert len(out["graphs"]) == 100 and out["truncated"] is True
 
 
 def readme_commands() -> list[str]:

@@ -4,6 +4,7 @@ import pytest
 
 import arforest.constructions as constructions
 from arforest import (ConstructionError, InteriorArrangement, LinearForest,
+                      OutOfValidityError, UnsupportedForestError,
                       ar_linear_forest, ar_path, build_forest_coloring,
                       build_path_coloring, build_turan_extremal,
                       complete_graph, contains_subgraph, ex_linear_forest,
@@ -41,7 +42,7 @@ class TestTuranExtremal:
     def test_check_free_raises_on_a_graph_with_a_copy(self):
         forest = LF("4,2")
         with pytest.raises(ConstructionError) as err:
-            constructions.check_free(complete_graph(10), forest, True)
+            constructions.check_free(complete_graph(10), forest)
         assert err.value.witness.forest == forest
         assert str(err.value) == "construction holds a copy of P4+P2 at n=10"
 
@@ -102,9 +103,18 @@ class TestForestColoring:
         c = build_forest_coloring(12, forest, verify=False)
         with pytest.raises(ConstructionError) as err:
             # the coloring built for 4,2 has too many colors for 2,2
-            constructions.check_free(c, LF("2,2"), True)
+            constructions.check_free(c, LF("2,2"))
         colors = err.value.witness.used_colors
         assert len(set(colors)) == len(colors) == 2
+
+    def test_arrangement_by_value(self):
+        # 3,2 has two interior colors, so the arrangements differ
+        forest = LF("3,2")
+        for arr in InteriorArrangement:
+            assert (build_forest_coloring(7, forest, arr.value)
+                    == build_forest_coloring(7, forest, arr))
+        with pytest.raises(ValueError, match="no-such-arrangement"):
+            build_forest_coloring(7, forest, "no-such-arrangement")
 
     def test_rejects_single_path(self):
         with pytest.raises(ValueError):
@@ -113,6 +123,47 @@ class TestForestColoring:
     def test_rejects_small_host(self):
         with pytest.raises(ValueError):
             build_forest_coloring(8, LF("4,2"))  # needs n >= f+s = 9
+
+
+class TestFormulaErrors:
+    # each builder takes its inputs from its formula, so it raises the
+    # formula's typed error, not one of its own
+    @pytest.mark.parametrize("build,error", [
+        (lambda: build_turan_extremal(5, LF("4,2")), OutOfValidityError),
+        (lambda: build_turan_extremal(12, LF("3,3")), UnsupportedForestError),
+        (lambda: build_turan_extremal(12, LF("4")), UnsupportedForestError),
+        (lambda: build_forest_coloring(12, LF("3,3")), UnsupportedForestError),
+        (lambda: build_forest_coloring(7, LF("3,3")), UnsupportedForestError),
+        (lambda: build_forest_coloring(12, LF("4")), UnsupportedForestError),
+        (lambda: build_path_coloring(3, 2), OutOfValidityError),
+        (lambda: build_path_coloring(4, 5), OutOfValidityError),
+    ], ids=["turan-small", "turan-all-3", "turan-path", "forest-all-odd",
+            "forest-all-odd-small", "forest-path", "path-k2", "path-small"])
+    def test_builder_raises_its_formulas_error(self, build, error):
+        with pytest.raises(error):
+            build()
+
+
+class TestCheckFree:
+    @pytest.mark.parametrize("n,ran", [(12, True), (13, False)])
+    def test_returns_whether_the_detector_ran(self, monkeypatch, n, ran):
+        calls = []
+        monkeypatch.setattr(constructions, "find_rainbow",
+                            lambda *a: calls.append(a) or find_rainbow(*a))
+        c = build_forest_coloring(n, LF("4,2"), verify=False)
+        assert constructions.check_free(c, LF("4,2")) is ran
+        assert len(calls) == ran
+
+    def test_builders_skip_it_when_told(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(constructions, "check_free",
+                            lambda *a: calls.append(a))
+        build_path_coloring(10, 5, verify=False)
+        build_forest_coloring(10, LF("4,2"), verify=False)
+        assert calls == []
+        build_path_coloring(10, 5)
+        build_forest_coloring(10, LF("4,2"))
+        assert len(calls) == 2
 
 
 def coloring_text(n: int, colors: list[int]) -> str:
@@ -161,4 +212,19 @@ class TestFormulaAgreement:
             lambda *args: replace(real(*args), value=real(*args).value + 1))
         with pytest.raises(ConstructionError, match="formula gives"):
             build()
+
+    @pytest.mark.parametrize("formula,build", [
+        ("ex_linear_forest", lambda: build_turan_extremal(10, LF("5,3"))),
+        ("ar_path", lambda: build_path_coloring(10, 6, verify=False)),
+        ("ar_linear_forest",
+         lambda: build_forest_coloring(12, LF("3,2"), verify=False)),
+    ], ids=["turan", "path", "forest"])
+    def test_each_builder_asks_its_formula_once(self, monkeypatch, formula,
+                                                build):
+        calls = []
+        real = getattr(constructions, formula)
+        monkeypatch.setattr(constructions, formula,
+                            lambda *args: calls.append(args) or real(*args))
+        build()
+        assert len(calls) == 1
 

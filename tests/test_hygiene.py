@@ -1,8 +1,8 @@
 """Source hygiene: every name a module imports is read in that module, every
 function and class the package defines, but three named colorings, is read
 outside the tests, the oracles import nothing from the code they check,
-their search does not recurse, the detector has one grower, and no module
-reads the environment."""
+their search does not recurse, the detector has one grower, no module
+reads the environment, and only constructions.py knows the verify limit."""
 import ast
 from pathlib import Path
 
@@ -169,6 +169,37 @@ def test_environment_reads_sees_every_form():
               "b = os.getenv('X')\n"
               "c = os.path.join('a', 'b')\n")
     assert environment_reads(source) == [2, 4, 5]
+
+
+def names_read(source: str, name: str) -> list[int]:
+    """The lines on which the source names the given name, bare, as an
+    attribute or in an import."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if ((isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.Attribute) and node.attr == name)
+                or (isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                    alias.name == name for alias in node.names))):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_constructions_knows_the_verify_limit():
+    # check_free alone decides which hosts the detector checks, so a
+    # caller learns whether it ran from its return value
+    found = {p.name: names_read(p.read_text(), "VERIFY_LIMIT")
+             for p in (ROOT / "src" / "arforest").glob("*.py")
+             if p.name != "constructions.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_names_read_sees_every_form():
+    source = ("from .constructions import VERIFY_LIMIT\n"
+              "import arforest.constructions as c\n"
+              "a = c.VERIFY_LIMIT\n"
+              "b = VERIFY_LIMIT\n"
+              "VERIFY = 'VERIFY_LIMIT'\n")
+    assert names_read(source, "VERIFY_LIMIT") == [1, 3, 4]
 
 
 def unread_definitions(defining: list[str], reading: list[str]) -> list[str]:
