@@ -136,10 +136,10 @@ def cmd_construct(args) -> int:
         size = {"colors": built.m}
     else:
         forest = _parse_forest(args.forest)
-        built = build_forest_coloring(
-            n, forest, args.arrangement
-            or InteriorArrangement.SINGLE_EDGE_SECOND_COLOR, verify=False)
-        size = {"colors": built.m}
+        arrangement = (args.arrangement
+                       or InteriorArrangement.SINGLE_EDGE_SECOND_COLOR.value)
+        built = build_forest_coloring(n, forest, arrangement, verify=False)
+        size = {"colors": built.m, "arrangement": arrangement}
     sidecar = {"family": family, "n": n, "forest": forest.spec_string(),
                "verified": check_free(built, forest), **size}
     if args.out:
@@ -186,7 +186,8 @@ def cmd_representing(args) -> int:
             else list(enum))
     _emit({"n": coloring.n, "colors": coloring.m,
            "graphs": [graph6_encode(rep.graph) for rep in reps],
-           "total_count": str(enum.total_count), "truncated": enum.truncated})
+           "total_count": str(enum.total_count),
+           "truncated": len(reps) < enum.total_count})
     return EXIT_OK
 
 

@@ -29,9 +29,9 @@ first edges, so the completion has at most c + (alive edges) colors.  A dead
 edge stays dead in every descendant: its rainbow copy uses decided edges,
 which keep their colors, and e, whose color stays fresh.  So each node
 starts from its parent's dead edges, checks the others with one anchored
-detector call each (e_i first, which is also the fresh-color check of the
-node's first branch), and stops once colors used plus alive edges exceed
-the incumbent.  This is forward checking in the sense of Haralick and
+check each (e_i first, which is also the fresh-color check of the node's
+first branch), and stops once colors used plus alive edges exceed the
+incumbent.  This is forward checking in the sense of Haralick and
 Elliott (1980), applied through the representing-graph argument of Erdos,
 Simonovits and Sos (1975): the first edges of the new colors pick one edge
 per new color, and each of them must be alive.
@@ -42,19 +42,27 @@ vertices (see _seed_extremal), so the bound bites from the first node
 without a detector call.  The bound is the edge count plus the edges left,
 capped by Erdos-Gallai when the forest is a single path.
 
-The include check of edge e_i asks whether e_i closes a copy of the forest
-in the host G of included edges.  The answer is monotone: a copy through e_i
-in G + e_i is also a copy in G' + e_i for every G' containing its edges.  So
-for each edge the search keeps two records of its detector calls: free, the
-host of the last check in which e_i closed no copy, and copy, the edges
-other than e_i of the last copy found through e_i.  A check answers "no
-copy" without the detector when G is a subgraph of free, since a copy in
-G + e_i would also be one in free + e_i, and "copy" when copy is a subgraph
-of G, since that copy is still there.  The host of a hit is a poor record:
-in include-first order a host seen after a hit for e_i is never a supergraph
-of it, but it often still holds the few edges of the copy.  Either subset
-test reversed by mistake hardly ever fires in include-first order, so the
-values do not show it; only the search's counters do.
+Every check of both oracles asks whether an edge e closes a copy of the
+forest, rainbow for AR, among the decided edges.  The search keeps every
+copy the detector has found through e, as its edges other than e, and reads
+them newest first before it calls the detector.  A kept copy answers
+"closes" when the host holds its other edges and, for AR, when those edges
+and e have pairwise distinct colors: it is then a copy, or a rainbow copy,
+through e in the host as it stands.  Each reuse re-checks a concrete
+embedding, so it needs no argument about how the hosts of two checks
+relate, and answers exactly as the detector would.  A copy is kept only
+while its search runs.
+
+The EX include check of edge e_i has a second record.  Its answer is
+monotone: a copy through e_i in G + e_i is also a copy in G' + e_i for every
+G' containing its edges.  So for each edge the search also keeps free, the
+host G of included edges of the last check in which e_i closed no copy, and
+answers "no copy" without the detector when G is a subgraph of free, since a
+copy in G + e_i would also be one in free + e_i.  The host of a hit is a
+poor record: in include-first order a host seen after a hit for e_i is never
+a supergraph of it, but it often still holds the few edges of a copy.
+Either subset test reversed by mistake hardly ever fires in include-first
+order, so the values do not show it; only the search's counters do.
 
 In the lex order the edges (u, v), v > u, form row u of the adjacency
 matrix, and in both oracles a lex-leader row rule breaks the symmetry of
@@ -131,15 +139,15 @@ class SearchBudget:
 class SearchReport:
     """What a search found and what it cost.
 
-    pruned_by_rainbow counts branches dropped by a detector hit, dead_edges
-    the detector hits of the AR forward-checking bound (0 for EX); a branch
-    whose fresh color the bound already found dead counts only there.
-    detector_calls counts the detector calls of the search itself: the EX
-    include checks that neither the last forest-free host nor the last copy
-    answered, and the AR branch and bound checks with at least as many
-    colors in use as the forest has edges.  An oracle makes no other
-    detector call.  reused_copies counts the EX include checks answered
-    from the last copy (0 for AR); each is also a rainbow prune.
+    pruned_by_rainbow counts branches dropped because they close a copy,
+    dead_edges the edges the AR forward-checking bound found dead (0 for
+    EX); a branch whose fresh color the bound already found dead counts
+    only there.  The checks behind them are the EX include checks that the
+    last forest-free host did not answer, and the AR branch and bound checks
+    with at least as many colors in use as the forest has edges.
+    reused_copies counts those answered from a copy found earlier through
+    the same edge, in either oracle, and detector_calls the rest, each one
+    detector call.  An oracle makes no other detector call.
     stop_reason is "exhausted", or the budget that stopped the search:
     "millis" if any part of it ran out of time, else "nodes".
     """
@@ -176,19 +184,52 @@ _COUNTERS = ("nodes_visited", "pruned_by_rainbow", "pruned_by_bound",
 
 
 class _Problem:
-    """Host state shared by both oracles: K_n's lex edges and the adjacency
-    bitmasks of the edges decided so far."""
+    """Host state shared by both oracles: K_n's lex edges, the adjacency
+    bitmasks of the edges decided so far, and the copies found through each
+    edge."""
 
     def __init__(self, n: int, parts: tuple[int, ...]):
         self.n = n
         self.parts = parts
         self.edges = lex_edges(n)
         self.adj = [0] * n
+        # copies[j] lists, oldest first, each copy the detector found
+        # through edge j as (lex bitmask of its other edges, those edges)
+        self.copies: list[list] = [[] for _ in self.edges]
 
     def _flip(self, e: Edge) -> None:
         u, v = e
         self.adj[u] ^= 1 << v
         self.adj[v] ^= 1 << u
+
+    def _detect(self, j: int, present: int, stats: dict,
+                col: Optional[list[list[int]]] = None) -> bool:
+        """Whether edge j, in adj, closes a copy of the forest (a rainbow
+        one under col) among the edges in present, a lex bitmask.
+
+        A kept copy through j answers without the detector when present
+        holds its other edges and, under col, their colors and j's are
+        pairwise distinct (see the module docstring).
+        """
+        e = self.edges[j]
+        kept = self.copies[j]
+        absent = ~present
+        for mask, others in reversed(kept):
+            if not mask & absent and (
+                    col is None or _distinct_colors(col, e, others)):
+                stats["reused_copies"] += 1
+                return True
+        stats["detector_calls"] += 1
+        paths = rainbow._search_forest(self.n, self.adj, self.parts, col=col,
+                                       anchor=e)
+        if paths is None:
+            return False
+        others = [(a, b) if a < b else (b, a)
+                  for seq in paths for a, b in pairwise(seq)]
+        others.remove(e)
+        kept.append((sum(1 << _edge_index(self.n, a, b) for a, b in others),
+                     others))
+        return True
 
 
 class _ArProblem(_Problem):
@@ -201,8 +242,9 @@ class _ArProblem(_Problem):
         # col[u][v] = col[v][u] is the color of (u, v) once decided; the
         # detector reads it only for edges in adj
         self.col = [[0] * n for _ in range(n)]
-        # dead[i + 1] is the bitmask of edges found dead at the current node
-        # at depth i; the node starts from its parent's, dead[i]
+        # dead[i + 1] holds the edges found dead at the current node at
+        # depth i, edge i + k as bit k; the node starts from its parent's,
+        # dead[i] >> 1
         self.dead = [0] * (len(self.edges) + 1)
 
     def replay(self, prefix: tuple[int, ...]) -> int:
@@ -215,15 +257,14 @@ class _ArProblem(_Problem):
         u, v = e
         self.col[u][v] = self.col[v][u] = c
 
-    def _closes(self, e: Edge, colors: int, stats: dict) -> bool:
-        """Whether e, colored and added, closes a rainbow copy of the forest
-        among the decided edges; colors counts the colors then in use."""
+    def _closes(self, i: int, j: int, colors: int, stats: dict) -> bool:
+        """Whether edge j, colored and added, closes a rainbow copy of the
+        forest among the decided edges, those before edge i; colors counts
+        the colors then in use."""
         # every edge of a rainbow copy has a color of its own
         if colors < self.forest_edges:
             return False
-        stats["detector_calls"] += 1
-        return rainbow._search_forest(self.n, self.adj, self.parts,
-                                      col=self.col, anchor=e) is not None
+        return self._detect(j, (1 << i) - 1, stats, self.col)
 
     def bound(self, i: int, value: int, best: int, stats: dict) -> int:
         """Colors used plus alive edges (see the module docstring), or the
@@ -232,16 +273,16 @@ class _ArProblem(_Problem):
         cheap = value + len(self.edges) - i
         if cheap <= best:
             return cheap
-        dead = self.dead[i]
+        dead = self.dead[i] >> 1
         alive = 0
         for j in range(i, len(self.edges)):
-            if dead >> j & 1:
+            if dead >> j - i & 1:
                 continue
             e = self.edges[j]
             self._flip(e)
             self._paint(e, value)
-            if self._closes(e, value + 1, stats):
-                dead |= 1 << j
+            if self._closes(i, j, value + 1, stats):
+                dead |= 1 << j - i
                 stats["dead_edges"] += 1
             else:
                 alive += 1
@@ -254,7 +295,7 @@ class _ArProblem(_Problem):
 
     def branches(self, i: int, value: int, stats: dict):
         e = u, v = self.edges[i]
-        fresh_dead = self.dead[i + 1] >> i & 1
+        fresh_dead = self.dead[i + 1] & 1
         self._flip(e)
         for c in _twin_colors(self.col, u, v, value):
             self._paint(e, c)
@@ -262,7 +303,7 @@ class _ArProblem(_Problem):
                 # the bound has made this very check on edge i
                 if not fresh_dead:
                     yield c, value + 1
-            elif self._closes(e, value, stats):
+            elif self._closes(i, i, value, stats):
                 stats["pruned_by_rainbow"] += 1
             else:
                 yield c, value
@@ -280,11 +321,9 @@ class _ExProblem(_Problem):
                     else len(self.edges))
         # taken is the bitmask of included edges, by lex index; free[i] is
         # the taken of the last host in which including edge i closed no
-        # copy, and copy[i] the edges but i of the last copy found through
-        # it; each is -1 until the detector has given such an answer once
+        # copy, -1 until the detector has given that answer once
         self.taken = 0
         self.free = [-1] * len(self.edges)
-        self.copy = [-1] * len(self.edges)
 
     def replay(self, prefix: tuple[bool, ...]) -> int:
         for i, take in enumerate(prefix):
@@ -298,25 +337,16 @@ class _ExProblem(_Problem):
 
     def _closes(self, i: int, stats: dict) -> bool:
         """Whether edge i, included, closes a copy of the forest; a host
-        inside the last one where it closed none, or holding the last copy
-        through it, is answered without the detector (see the module
-        docstring)."""
+        inside the last one where it closed none is answered without the
+        detector (see the module docstring)."""
         taken = self.taken
-        free, copy = self.free[i], self.copy[i]
+        free = self.free[i]
         if free >= 0 and not taken & ~free:
             return False
-        if copy >= 0 and not copy & ~taken:
-            stats["reused_copies"] += 1
+        if self._detect(i, taken, stats):
             return True
-        stats["detector_calls"] += 1
-        paths = rainbow._search_forest(self.n, self.adj, self.parts,
-                                       anchor=self.edges[i])
-        if paths is None:
-            self.free[i] = taken
-            return False
-        self.copy[i] = sum(1 << _edge_index(self.n, *sorted(e))
-                           for seq in paths for e in pairwise(seq)) ^ 1 << i
-        return True
+        self.free[i] = taken
+        return False
 
     def branches(self, i: int, value: int, stats: dict):
         e = self.edges[i]
@@ -330,6 +360,19 @@ class _ExProblem(_Problem):
                 self.taken ^= 1 << i
             self._flip(e)
         yield False, value
+
+
+def _distinct_colors(col: list[list[int]], e: Edge,
+                     others: list[Edge]) -> bool:
+    """Whether e and the other edges have pairwise distinct colors."""
+    u, v = e
+    seen = 1 << col[u][v]
+    for a, b in others:
+        bit = 1 << col[a][b]
+        if seen & bit:
+            return False
+        seen |= bit
+    return True
 
 
 def _twin_forbids(adj: list[int], u: int, v: int) -> bool:

@@ -150,6 +150,22 @@ class TestConstructCommand:
                         "--forest", "4,2")
         assert code == 0 and out["rainbow"] is False
 
+    def test_forest_sidecar_records_the_arrangement(self, capsys, tmp_path):
+        # 3,2 has two interior colors, so the two arrangements give two
+        # colorings, and each sidecar says which one its file holds
+        sidecars = []
+        for arrangement in ("mono-interior", "single-edge"):
+            out_path = tmp_path / f"{arrangement}.txt"
+            code, out = run(capsys, "construct", "--family", "forest",
+                            "--n", "7", "--forest", "3,2", "--arrangement",
+                            arrangement, "--out", str(out_path))
+            assert code == 0 and out["arrangement"] == arrangement
+            sidecar = json.loads((tmp_path / f"{arrangement}.txt.json")
+                                 .read_text())
+            assert sidecar == out
+            sidecars.append(sidecar)
+        assert sidecars[0] != sidecars[1]
+
     @pytest.mark.parametrize("limit", [11, 12])
     @pytest.mark.parametrize("family,flags", [("path", ["--k", "5"]),
                                               ("forest", ["--forest", "4,2"]),
@@ -319,6 +335,18 @@ class TestRepresentingCommand:
         _, out2 = run(capsys, "representing", "--coloring", str(path),
                       "--sample-seed", "7")
         assert out1 == out2 and len(out1["graphs"]) == 1
+
+    def test_a_sample_of_many_is_truncated(self, capsys, tmp_path):
+        # a sample shows one of the coloring's 55 representing graphs, so
+        # it is truncated by the same rule as an enumeration under its cap
+        path = tmp_path / "c42.txt"
+        code, _ = run(capsys, "construct", "--family", "forest", "--n", "12",
+                      "--forest", "4,2", "--out", str(path))
+        assert code == 0
+        code, out = run(capsys, "representing", "--coloring", str(path),
+                        "--sample-seed", "7")
+        assert code == 0 and out["total_count"] == "55"
+        assert len(out["graphs"]) == 1 and out["truncated"] is True
 
 
 class TestStrayFlags:

@@ -130,6 +130,19 @@ def test_detector_has_one_grower():
                   and node.name.startswith("_")) == ["_grow", "_search_forest"]
 
 
+def test_oracles_call_the_detector_in_one_place():
+    # every check of both oracles reads the copy store first, so the only
+    # call of the detector in oracles.py is the one behind the store
+    source = (ROOT / "src" / "arforest" / "oracles.py").read_text()
+    lines = names_read(source, "_search_forest")
+    [problem] = [node for node in ast.parse(source).body
+                 if isinstance(node, ast.ClassDef) and node.name == "_Problem"]
+    [detect] = [node for node in problem.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_detect"]
+    assert len(lines) == 1
+    assert detect.lineno <= lines[0] <= detect.end_lineno
+
+
 def test_self_calls_sees_nested_functions():
     # reading a function's own name is not a call
     source = ("def outer(k):\n"

@@ -5,6 +5,7 @@ from dataclasses import replace
 from itertools import permutations
 from math import comb
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +19,8 @@ from arforest import (EdgeColoring, LinearForest, SearchBudget,
                       ex_linear_forest, lex_edges, verify_witness)
 from arforest import rainbow
 from arforest.oracles import (_COUNTERS, PARALLEL_EXPAND_LEVELS, _ArProblem,
-                              _dfs, _ExProblem, _seed_extremal, _twin_colors,
-                              _twin_forbids)
+                              _dfs, _ExProblem, _Problem, _seed_extremal,
+                              _twin_colors, _twin_forbids)
 from reference import (faudree_schelp, naive_ar, naive_ex, naive_has_rainbow,
                        set_partitions)
 
@@ -217,10 +218,13 @@ class TestBruteForceAr:
         assert report.value == ar_linear_forest(6, forest).value
 
     def test_search_pins(self):
+        # 1,507 detector calls when no copy was kept; the copy store
+        # answers 1,171 of those checks
         report = brute_force_ar(6, LF("5"), FAST)
         assert report.exhausted and report.value == 6
         assert report.nodes_visited == 549
-        assert report.detector_calls == 1507
+        assert report.detector_calls == 336
+        assert report.reused_copies == 1171
         assert report.dead_edges == 1256
         assert report.pruned_by_rainbow == 48
         assert report.pruned_by_bound == 343
@@ -376,14 +380,19 @@ def nested_hosts(draw):
     return n, inner, outer, e, LF(spec).parts
 
 
-def copy_through(n: int, edges: list, e: tuple, parts: tuple):
+def copy_through(n: int, edges: list, e: tuple, parts: tuple,
+                 colors: Optional[dict] = None):
     """The edges of the detector's copy of the forest through e in the
-    graph with the given edges plus e, or None."""
+    graph with the given edges plus e, or None; with colors, an edge to
+    color dict over those edges, a rainbow copy."""
     adj = [0] * n
+    col = None if colors is None else [[0] * n for _ in range(n)]
     for u, v in {*edges, e}:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    paths = rainbow._search_forest(n, adj, parts, anchor=e)
+        if col is not None:
+            col[u][v] = col[v][u] = colors[u, v]
+    paths = rainbow._search_forest(n, adj, parts, col=col, anchor=e)
     return None if paths is None else {
         (min(a, b), max(a, b)) for seq in paths for a, b in zip(seq, seq[1:])}
 
@@ -411,29 +420,115 @@ class TestIncludeCheckReuse:
             assert copy_through(n, other, e, parts) is not None
             assert copy_through(n, inner + other, e, parts) is not None
 
+    @settings(max_examples=300, deadline=None)
+    @given(nested_hosts(), st.data())
+    def test_a_rainbow_copy_holds_in_every_host_with_its_colored_edges(
+            self, case, data):
+        # the premise of reusing a copy in AR: a rainbow copy through e
+        # found in a colored G + e is a rainbow copy through e in every
+        # colored G' + e that keeps its edges and their colors, whatever
+        # the colors of G''s other edges
+        n, inner, outer, e, parts = case
+        colors = st.integers(0, 4)
+        first = {f: data.draw(colors) for f in {*outer, e}}
+        copy = copy_through(n, outer, e, parts, first)
+        if copy is not None:
+            assert e in copy
+            assert len({first[f] for f in copy}) == len(copy)
+            second = {f: data.draw(colors) for f in inner}
+            second.update((f, first[f]) for f in copy)
+            assert copy_through(n, [*inner, *copy], e, parts,
+                                second) is not None
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_the_store_answers_as_the_detector(self, data):
+        # a run of checks through the first few edges of K_n, on random
+        # hosts and colors, gets the detector's answer whether or not a
+        # kept copy gives it
+        n = data.draw(st.integers(3, 6))
+        parts = LF(data.draw(st.sampled_from(list(forest_specs(n, 5))))).parts
+        colored = data.draw(st.booleans())
+        problem = _Problem(n, parts)
+        m = len(problem.edges)
+        stats = dict.fromkeys(_COUNTERS, 0)
+        for _ in range(12):
+            j = data.draw(st.integers(0, 2))
+            present = data.draw(st.integers(0, (1 << m) - 1)) & ~(1 << j)
+            host = [e for k, e in enumerate(problem.edges)
+                    if (present | 1 << j) >> k & 1]
+            colors = {e: data.draw(st.integers(0, 3)) for e in host}
+            problem.adj = [0] * n
+            col = [[0] * n for _ in range(n)]
+            for u, v in host:
+                problem.adj[u] |= 1 << v
+                problem.adj[v] |= 1 << u
+                col[u][v] = col[v][u] = colors[u, v]
+            expected = copy_through(n, host, problem.edges[j], parts,
+                                    colors if colored else None)
+            assert problem._detect(j, present, stats,
+                                   col if colored else None) == (
+                expected is not None)
+        assert stats["detector_calls"] + stats["reused_copies"] == 12
+
     def test_fresh_problem_reuses_nothing(self):
         # a free record of 0 would claim that the empty host closes no
-        # copy, which is false for a single edge; a copy record of 0 claims
-        # that it closes one, which is true, so it answers the next check
+        # copy, which is false for a single edge; a kept copy with no other
+        # edge claims that it closes one, which is true, so it answers the
+        # next check
         problem = _ExProblem(4, LF("2").parts)
         assert problem.free == [-1] * len(problem.edges)
-        assert problem.copy == [-1] * len(problem.edges)
+        assert problem.copies == [[]] * len(problem.edges)
         stats = dict.fromkeys(_COUNTERS, 0)
         assert list(problem.branches(0, 0, stats)) == [(False, 0)]
         assert stats["detector_calls"] == stats["pruned_by_rainbow"] == 1
-        assert problem.copy[0] == 0 and stats["reused_copies"] == 0
+        assert problem.copies[0] == [(0, [])] and stats["reused_copies"] == 0
         assert list(problem.branches(0, 0, stats)) == [(False, 0)]
         assert stats["detector_calls"] == 1
         assert stats["reused_copies"] == 1 and stats["pruned_by_rainbow"] == 2
 
     def test_search_pins(self):
         # 390 include checks without any reuse, 188 with the free record
-        # alone, 141 with the copy record too, which answers 47
+        # alone; keeping the last copy per edge answered 47 of those (141
+        # detector calls), keeping every copy answers 74
         report = brute_force_ex(7, LF("7"), FAST)
         assert report.exhausted and report.value == 15
         assert report.nodes_visited == 779
-        assert report.detector_calls == 141
-        assert report.reused_copies == 47
+        assert report.detector_calls == 114
+        assert report.reused_copies == 74
+
+
+class TestCopyStore:
+    @pytest.mark.parametrize("oracle,n,spec,checks,counts,witness", [
+        (brute_force_ar, 6, "5", 1507, (549, 48, 343, 1256),
+         (0, 1, 2, 3, 4, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5)),
+        (brute_force_ex, 7, "7", 188, (779, 132, 258, 0),
+         (62, 61, 59, 55, 47, 31, 0)),
+    ])
+    def test_the_store_changes_only_who_answers(self, oracle, n, spec,
+                                                checks, counts, witness):
+        # each check the store answers was a detector call before there
+        # was a store, and the search around it is the one it was then:
+        # the same nodes, prunes, dead edges and witness
+        report = oracle(n, LF(spec), FAST)
+        assert report.exhausted
+        assert report.detector_calls + report.reused_copies == checks
+        assert (report.nodes_visited, report.pruned_by_rainbow,
+                report.pruned_by_bound, report.dead_edges) == counts
+        w = report.witness
+        assert (w.colors if isinstance(w, EdgeColoring) else w.adj) == witness
+
+    def test_dead_masks_hold_only_the_edges_left(self):
+        # dead[i + 1] keeps edge i + k as bit k, so the masks of a path of
+        # nodes hold O(m) bits each, not m
+        class Checked(_ArProblem):
+            def bound(self, i, value, best, stats):
+                result = super().bound(i, value, best, stats)
+                assert self.dead[i + 1].bit_length() <= len(self.edges) - i
+                return result
+
+        res = _dfs(Checked, 6, LF("5").parts, (), 0, 10**9, float("inf"))
+        assert res["best"] == 6 and res["dead_edges"] == 1256
 
 
 class TestBudgets:
@@ -487,7 +582,7 @@ class TestBudgets:
     def test_oracles_call_the_module_detector(self, monkeypatch, oracle, n,
                                               spec):
         # the search looks the detector up on the rainbow module at each
-        # call, so a wrapper sees every call; each hit, and each EX check
+        # call, so a wrapper sees every call; each hit, and each check
         # answered from a kept copy, prunes one branch or, in the AR bound,
         # marks one edge dead; every call is one of the search's own
         # anchored ones, as the seed needs no detector
@@ -511,7 +606,9 @@ class TestBudgets:
         assert report.pruned_by_rainbow > 0
         assert calls > hits
         assert (report.dead_edges > 0) == (oracle is brute_force_ar)
-        assert (report.reused_copies > 0) == (oracle is brute_force_ex)
+        # both oracles answer some checks from the copy store (until the
+        # store, AR reused nothing)
+        assert report.reused_copies > 0
 
     @pytest.mark.parametrize("oracle,n,spec", [
         (brute_force_ex, 7, "4,2"), (brute_force_ar, 6, "5"),
