@@ -36,6 +36,31 @@ Elliott (1980), applied through the representing-graph argument of Erdos,
 Simonovits and Sos (1975): the first edges of the new colors pick one edge
 per new color, and each of them must be alive.
 
+The bound subtracts a matching of conflicting alive edges.  Two alive edges
+e and j conflict if giving them two distinct colors that no decided edge has
+closes a rainbow copy of the forest among the decided edges, e and j.  In a
+rainbow-free completion, the first edges of two distinct new colors do not
+conflict: with the completion's colors the decided edges and those two form
+a subcoloring of the completion, in which the two have distinct colors that
+no decided edge has, and rainbowness depends only on which edges share a
+color.  So the first edges of the new colors are pairwise non-conflicting
+alive edges, and for any matching M of the conflict graph on the alive edges
+they include at most one edge of each pair of M: the completion has at most
+c + (alive edges) - |M| colors.  The conflicts come from the kept copies
+described below, with no detector call: a copy kept through j whose other
+edges are all decided but one, e, with the decided ones in pairwise distinct
+colors, is a rainbow copy through j among the decided edges, e and j once e
+and j carry two fresh colors, so e and j conflict.  Copies through j are
+found at checks of j, where all their other edges were decided, so e comes
+before j in lex order.  As the loop classifies an edge alive, it matches the
+edge to an unmatched alive edge it conflicts with or, failing that, to a
+matched one whose mate moves to an unmatched edge that conflicts with the
+mate.  Any matching gives a sound bound, so that rule only decides how tight
+it is.  The loop stops once colors used plus alive edges less matched pairs
+exceed the incumbent, and matches only where a pair can prune: when the
+incumbent exceeds the colors used, and those colors plus two fresh ones
+are enough for a rainbow copy.
+
 brute_force_ex decides include or exclude per edge, include first, and is
 seeded with a graph that is free of the forest because it has too few
 vertices (see _seed_extremal), so the bound bites from the first node
@@ -148,6 +173,8 @@ class SearchReport:
     reused_copies counts those answered from a copy found earlier through
     the same edge, in either oracle, and detector_calls the rest, each one
     detector call.  An oracle makes no other detector call.
+    conflict_pairs counts the pairs of conflicting alive edges the AR bound
+    matched, each shown by a kept copy with no detector call (0 for EX).
     stop_reason is "exhausted", or the budget that stopped the search:
     "millis" if any part of it ran out of time, else "nodes".
     """
@@ -161,6 +188,7 @@ class SearchReport:
     dead_edges: int = 0
     detector_calls: int = 0
     reused_copies: int = 0
+    conflict_pairs: int = 0
     elapsed_seconds: float = 0.0
     stop_reason: str = "exhausted"
 
@@ -180,7 +208,8 @@ class SearchReport:
 
 # the counter fields of SearchReport, which _dfs counts and _search sums
 _COUNTERS = ("nodes_visited", "pruned_by_rainbow", "pruned_by_bound",
-             "dead_edges", "detector_calls", "reused_copies")
+             "dead_edges", "detector_calls", "reused_copies",
+             "conflict_pairs")
 
 
 class _Problem:
@@ -246,6 +275,11 @@ class _ArProblem(_Problem):
         # depth i, edge i + k as bit k; the node starts from its parent's,
         # dead[i] >> 1
         self.dead = [0] * (len(self.edges) + 1)
+        # scratch for bound's matching: conflicts[k] holds the classified
+        # alive edges that conflict with edge i + k, and mate[k] its partner
+        # once matched, edges as bits and offsets from i
+        self.conflicts = [0] * len(self.edges)
+        self.mate = [0] * len(self.edges)
 
     def replay(self, prefix: tuple[int, ...]) -> int:
         for e, c in zip(self.edges, prefix):
@@ -257,41 +291,120 @@ class _ArProblem(_Problem):
         u, v = e
         self.col[u][v] = self.col[v][u] = c
 
-    def _closes(self, i: int, j: int, colors: int, stats: dict) -> bool:
-        """Whether edge j, colored and added, closes a rainbow copy of the
-        forest among the decided edges, those before edge i; colors counts
-        the colors then in use."""
+    def _closes(self, i: int, colors: int, stats: dict) -> bool:
+        """Whether edge i, colored and added, closes a rainbow copy of the
+        forest among the decided edges, those before it; colors counts the
+        colors then in use."""
         # every edge of a rainbow copy has a color of its own
         if colors < self.forest_edges:
             return False
-        return self._detect(j, (1 << i) - 1, stats, self.col)
+        return self._detect(i, (1 << i) - 1, stats, self.col)
 
     def bound(self, i: int, value: int, best: int, stats: dict) -> int:
-        """Colors used plus alive edges (see the module docstring), or the
-        cheaper colors used plus edges left once either shows that the node
-        cannot be pruned."""
+        """Colors used plus alive edges less a matching of conflicting alive
+        edges (see the module docstring), or the cheaper colors used plus
+        edges left once either shows that the node cannot be pruned."""
         cheap = value + len(self.edges) - i
         if cheap <= best:
             return cheap
+        slack = best - value
         dead = self.dead[i] >> 1
-        alive = 0
+        # single holds the alive edges the matching leaves out, edge i + k
+        # as bit k; excess is alive edges less matched pairs
+        single = excess = 0
+        # a conflict needs two fresh colors on a rainbow copy, and a pair
+        # counts only where one alive edge does not already exceed the slack
+        pairing = slack > 0 and value + 2 >= self.forest_edges
+        # a rainbow copy needs a color per edge, the fresh one among them
+        check = value + 1 >= self.forest_edges
+        decided = (1 << i) - 1
+        adj, col = self.adj, self.col
         for j in range(i, len(self.edges)):
-            if dead >> j - i & 1:
+            k = j - i
+            if dead >> k & 1:
                 continue
-            e = self.edges[j]
-            self._flip(e)
-            self._paint(e, value)
-            if self._closes(i, j, value + 1, stats):
-                dead |= 1 << j - i
-                stats["dead_edges"] += 1
+            u, v = self.edges[j]
+            col[u][v] = col[v][u] = value
+            if check:
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+                closes = self._detect(j, decided, stats, col)
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
             else:
-                alive += 1
-            self._flip(e)
+                closes = False
+            if closes:
+                dead |= 1 << k
+                stats["dead_edges"] += 1
+            elif pairing and (matched := self._pair(i, j, dead, single)):
+                single ^= matched
+                stats["conflict_pairs"] += 1
+            else:
+                single |= 1 << k
+                excess += 1
             # edge i is always classified, as branches reuses its answer
-            if alive > best - value:
+            if excess > slack:
                 break
         self.dead[i + 1] = dead
-        return value + alive if alive <= best - value else cheap
+        return value + excess if excess <= slack else cheap
+
+    def _pair(self, i: int, j: int, dead: int, single: int) -> int:
+        """Match alive edge j to an earlier alive edge it conflicts with
+        that is unmatched, in single, or else matched to a mate that can
+        move to one in single; the edges from i on are classified, edge
+        i + k as bit k.  Returns the bit of the edge in single now matched,
+        or 0 if j stays unmatched."""
+        conflicts, mate = self.conflicts, self.mate
+        k = j - i
+        alive = (1 << k) - 1 & ~dead
+        partners = conflicts[k] = alive and self._partners(i, j, alive)
+        rest = partners
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            conflicts[low.bit_length() - 1] |= 1 << k
+        free = partners & single
+        if free:
+            free &= -free
+            a = free.bit_length() - 1
+            mate[a], mate[k] = k, a
+            return free
+        rest = partners
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            a = low.bit_length() - 1
+            b = mate[a]
+            free = conflicts[b] & single
+            if free:
+                free &= -free
+                c = free.bit_length() - 1
+                mate[a], mate[k], mate[b], mate[c] = k, a, c, b
+                return free
+        return 0
+
+    def _partners(self, i: int, j: int, alive: int) -> int:
+        """The edges in alive that conflict with alive edge j by a kept
+        copy: one through j whose other edges are decided but that one, in
+        pairwise distinct colors (see the module docstring).  Each alive
+        edge was painted with the fresh color, so only decided ones repeat.
+        """
+        col = self.col
+        found = 0
+        for mask, others in self.copies[j]:
+            rest = mask >> i
+            if rest & rest - 1 or not rest & alive:
+                continue
+            seen = 0
+            for a, b in others:
+                bit = 1 << col[a][b]
+                if seen & bit:
+                    break
+                seen |= bit
+            else:
+                found |= rest
+                alive ^= rest
+        return found
 
     def branches(self, i: int, value: int, stats: dict):
         e = u, v = self.edges[i]
@@ -303,7 +416,7 @@ class _ArProblem(_Problem):
                 # the bound has made this very check on edge i
                 if not fresh_dead:
                     yield c, value + 1
-            elif self._closes(i, i, value, stats):
+            elif self._closes(i, value, stats):
                 stats["pruned_by_rainbow"] += 1
             else:
                 yield c, value

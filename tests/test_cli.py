@@ -251,7 +251,8 @@ class TestSearchCommands:
         assert set(out["stats"]) == {"nodes", "pruned_by_rainbow",
                                      "pruned_by_bound", "dead_edges",
                                      "detector_calls", "reused_copies",
-                                     "stop_reason", "elapsed_ms"}
+                                     "conflict_pairs", "stop_reason",
+                                     "elapsed_ms"}
 
     def test_search_ex_witness_file(self, capsys, tmp_path):
         wpath = tmp_path / "w.g6"

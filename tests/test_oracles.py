@@ -172,6 +172,94 @@ class TestBruteForceAr:
                 stats = dict.fromkeys(_COUNTERS, 0)
                 assert problem.bound(depth, value, top - 1, stats) >= top
 
+    @pytest.mark.parametrize("n,spec", [
+        *((n, spec) for n in range(2, 6) for spec in forest_specs(n, n)),
+        (6, "5"), (6, "3,2")])
+    def test_bound_never_prunes_a_better_completion_with_kept_copies(
+            self, n, spec):
+        # the test above bounds each prefix with an empty copy store, where
+        # no conflict is found; here every prune of a real search, whose
+        # store the search itself has filled, is re-checked: an exhaustive
+        # search below the pruned prefix, with best = -1, must find nothing
+        # above the best the prune was made against
+        parts = LF(spec).parts
+        prunes = []
+
+        class Recorded(_ArProblem):
+            def bound(self, i, value, best, stats):
+                result = super().bound(i, value, best, stats)
+                if result <= best:
+                    prunes.append((tuple(self.col[u][v]
+                                         for u, v in self.edges[:i]), best))
+                return result
+
+        res = _dfs(Recorded, n, parts, (), 0, 10**9, float("inf"))
+        assert res["stop_reason"] == "exhausted"
+        # the two searches at n = 6 match some conflicting edges
+        assert res["conflict_pairs"] > 0 or n < 6
+        for prefix, best in prunes:
+            assert _dfs(_ArProblem, n, parts, prefix, -1, 10**9,
+                        float("inf"))["best"] <= best
+
+    @pytest.mark.parametrize("n,spec", [(5, "5"), (6, "5"), (6, "3,3")])
+    def test_kept_copies_pair_only_conflicting_edges(self, n, spec):
+        # each partner a kept copy gives alive edge j is re-checked on a host
+        # of the decided edges, with their colors, the partner e and j, with
+        # e and j carrying two fresh colors: the raw detector, anchored at j,
+        # must find a rainbow copy there
+        parts = LF(spec).parts
+        pairs = []
+
+        class Recorded(_ArProblem):
+            def _partners(self, i, j, alive):
+                found = super()._partners(i, j, alive)
+                colors = [self.col[u][v] for u, v in self.edges[:i]]
+                pairs.extend((colors, i + k, j)
+                             for k in range(found.bit_length())
+                             if found >> k & 1)
+                return found
+
+        res = _dfs(Recorded, n, parts, (), 0, 10**9, float("inf"))
+        assert res["conflict_pairs"] > 0
+        edges = lex_edges(n)
+        for colors, e, j in pairs:
+            # no decided edge has color len(colors) or more
+            host = dict(zip(edges, colors))
+            host[edges[e]] = len(colors)
+            host[edges[j]] = len(colors) + 1
+            assert copy_through(n, list(host), edges[j], parts,
+                                host) is not None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda m: st.tuples(
+        st.just(m), st.sets(st.tuples(st.integers(0, m - 1),
+                                      st.integers(0, m - 1))))))
+    def test_pair_grows_a_matching_of_conflicting_edges(self, case):
+        # fed the alive edges in order, whatever conflicts the kept copies
+        # show, _pair must report the pairs of a matching of conflicting
+        # edges: alive edges less pairs then bounds every set of pairwise
+        # non-conflicting alive edges, as the bound needs
+        m, raw = case
+        conflict = {(a, b) if a < b else (b, a) for a, b in raw if a != b}
+        problem = _ArProblem(6, (2,))
+        problem._partners = lambda i, j, alive: alive & sum(
+            1 << a for a in range(j) if (a, j) in conflict)
+        single = pairs = 0
+        for j in range(m):
+            matched = problem._pair(0, j, 0, single)
+            if matched:
+                single ^= matched
+                pairs += 1
+            else:
+                single |= 1 << j
+        matched_edges = [a for a in range(m) if not single >> a & 1]
+        assert len(matched_edges) == 2 * pairs
+        for a in matched_edges:
+            b = problem.mate[a]
+            assert problem.mate[b] == a and (min(a, b), max(a, b)) in conflict
+        # and the matching is maximal
+        assert not any(single >> a & single >> b & 1 for a, b in conflict)
+
     def test_ar_row_rule_keeps_every_coloring_class(self):
         # the rule may only drop relabellings: each of the 25 classes of the
         # 203 colorings of K_4 must keep a restricted-growth labelling whose
@@ -219,15 +307,18 @@ class TestBruteForceAr:
 
     def test_search_pins(self):
         # 1,507 detector calls when no copy was kept; the copy store
-        # answers 1,171 of those checks
+        # answered 1,171 of those checks.  Before the bound matched
+        # conflicting alive edges: 549 nodes, 336 detector calls, 1,171
+        # reused copies, 1,256 dead edges, 48 rainbow and 343 bound prunes
         report = brute_force_ar(6, LF("5"), FAST)
         assert report.exhausted and report.value == 6
-        assert report.nodes_visited == 549
-        assert report.detector_calls == 336
-        assert report.reused_copies == 1171
-        assert report.dead_edges == 1256
-        assert report.pruned_by_rainbow == 48
-        assert report.pruned_by_bound == 343
+        assert report.nodes_visited == 178
+        assert report.detector_calls == 315
+        assert report.reused_copies == 536
+        assert report.dead_edges == 601
+        assert report.pruned_by_rainbow == 47
+        assert report.pruned_by_bound == 105
+        assert report.conflict_pairs == 188
 
     def test_search_deeper_than_the_interpreter_stack(self):
         # K_60 has 1,770 edges and every leaf lies that many decisions deep
@@ -500,7 +591,9 @@ class TestIncludeCheckReuse:
 
 class TestCopyStore:
     @pytest.mark.parametrize("oracle,n,spec,checks,counts,witness", [
-        (brute_force_ar, 6, "5", 1507, (549, 48, 343, 1256),
+        # 1,507 checks and (549, 48, 343, 1,256) before the bound matched
+        # conflicting alive edges
+        (brute_force_ar, 6, "5", 851, (178, 47, 105, 601),
          (0, 1, 2, 3, 4, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5)),
         (brute_force_ex, 7, "7", 188, (779, 132, 258, 0),
          (62, 61, 59, 55, 47, 31, 0)),
@@ -509,7 +602,9 @@ class TestCopyStore:
                                                 checks, counts, witness):
         # each check the store answers was a detector call before there
         # was a store, and the search around it is the one it was then:
-        # the same nodes, prunes, dead edges and witness
+        # the same nodes, prunes, dead edges and witness.  The AR bound now
+        # also pairs edges through kept copies, so its case pins the sums
+        # and counts of that search, with the witness it had before
         report = oracle(n, LF(spec), FAST)
         assert report.exhausted
         assert report.detector_calls + report.reused_copies == checks
@@ -528,7 +623,8 @@ class TestCopyStore:
                 return result
 
         res = _dfs(Checked, 6, LF("5").parts, (), 0, 10**9, float("inf"))
-        assert res["best"] == 6 and res["dead_edges"] == 1256
+        # 1,256 dead edges before the bound matched conflicting alive edges
+        assert res["best"] == 6 and res["dead_edges"] == 601
 
 
 class TestBudgets:
@@ -578,6 +674,7 @@ class TestBudgets:
 
     @pytest.mark.parametrize("oracle,n,spec", [
         (brute_force_ar, 5, "3,2"), (brute_force_ex, 7, "4,2"),
+        (brute_force_ar, 6, "5"),
     ])
     def test_oracles_call_the_module_detector(self, monkeypatch, oracle, n,
                                               spec):
@@ -609,6 +706,9 @@ class TestBudgets:
         # both oracles answer some checks from the copy store (until the
         # store, AR reused nothing)
         assert report.reused_copies > 0
+        # the AR bound pairs conflicting edges through kept copies, which
+        # the equation above shows to cost no detector call
+        assert (report.conflict_pairs > 0) == (oracle is brute_force_ar)
 
     @pytest.mark.parametrize("oracle,n,spec", [
         (brute_force_ex, 7, "4,2"), (brute_force_ar, 6, "5"),
@@ -717,7 +817,8 @@ class TestReportShape:
         assert set(d["stats"]) == {"nodes", "pruned_by_rainbow",
                                    "pruned_by_bound", "dead_edges",
                                    "detector_calls", "reused_copies",
-                                   "stop_reason", "elapsed_ms"}
+                                   "conflict_pairs", "stop_reason",
+                                   "elapsed_ms"}
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
